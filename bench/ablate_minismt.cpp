@@ -1,6 +1,6 @@
 // Ablation G: the MiniSMT raw-speed push — LBD clause management,
-// chronological backtracking, inprocessing, word-level rewriting and the
-// in-process seed portfolio. Three claims, measured separately:
+// chronological backtracking, inprocessing and word-level rewriting. Three
+// claims, measured separately:
 //
 //  * Agreement — on the full corpus race workload plus injected-bug
 //    mutants, all techniques OFF versus all ON must return identical
@@ -11,9 +11,9 @@
 //    everything-off configuration (the PR-3-era SAT core) as baseline.
 //    The net all-on vs all-off ratio is the raw-speed claim.
 //  * Equivalence — the Table II "+C" parameterized equivalence pairs at
-//    full width (transpose 32b, reduction 12b): Z3 versus MiniSMT versus
-//    the MiniSMT seed portfolio. The acceptance bar is MiniSMT within 2x
-//    of Z3 wall-clock. PUGPARA_MINI_FAST=1 shrinks the widths for CI.
+//    full width (transpose 32b, reduction 12b): Z3 versus MiniSMT. The
+//    acceptance bar is MiniSMT within 2x of Z3 wall-clock.
+//    PUGPARA_MINI_FAST=1 shrinks the widths for CI.
 //
 // Emits BENCH_minismt.json next to the table for machine consumption.
 #include <memory>
@@ -42,8 +42,7 @@ struct ModeRun {
   std::vector<check::Outcome> outcomes;
 };
 
-ModeRun runRaces(const std::vector<Task>& tasks, const smt::MiniTuning& mini,
-                 unsigned miniPortfolio = 1) {
+ModeRun runRaces(const std::vector<Task>& tasks, const smt::MiniTuning& mini) {
   std::vector<engine::BoundCheck> checks;
   for (const Task& t : tasks) {
     check::CheckOptions o;
@@ -56,9 +55,7 @@ ModeRun runRaces(const std::vector<Task>& tasks, const smt::MiniTuning& mini,
     checks.push_back(
         {t.session, {check::CheckKind::Races, t.kernel, "", o, {}, 0}});
   }
-  engine::EngineOptions eo = benchEngineOptions();
-  eo.miniPortfolio = miniPortfolio;
-  engine::VerificationEngine eng(eo);
+  engine::VerificationEngine eng(benchEngineOptions());
   std::vector<check::CheckResult> results = eng.runAll(checks);
   ModeRun run;
   for (const check::CheckResult& r : results) {
@@ -79,7 +76,7 @@ struct EquivPair {
 /// One Table II "+C" parameterized equivalence check on a given backend.
 ModeRun runEquiv(const check::VerificationSession* session,
                  const EquivPair& p, smt::Backend backend,
-                 const smt::MiniTuning& mini, unsigned miniPortfolio = 1) {
+                 const smt::MiniTuning& mini) {
   check::CheckOptions o;
   o.method = check::Method::Parameterized;
   o.width = p.width;
@@ -93,9 +90,7 @@ ModeRun runEquiv(const check::VerificationSession* session,
     o.concretize = {{"bdim.x", 8}, {"bdim.y", 1}, {"bdim.z", 1}};
   }
   o.replayCounterexamples = false;
-  engine::EngineOptions eo = benchEngineOptions();
-  eo.miniPortfolio = miniPortfolio;
-  engine::VerificationEngine eng(eo);
+  engine::VerificationEngine eng(benchEngineOptions());
   std::vector<engine::BoundCheck> checks = {
       {session, {check::CheckKind::Equivalence, p.src, p.tgt, o, {}, 0}}};
   std::vector<check::CheckResult> results = eng.runAll(checks);
@@ -110,7 +105,7 @@ ModeRun runEquiv(const check::VerificationSession* session,
 int main() {
   const bool fast = std::getenv("PUGPARA_MINI_FAST") != nullptr;
   std::printf("Ablation: MiniSMT raw-speed techniques (LBD / chrono / "
-              "inprocess / rewrite / seed portfolio)%s\n\n",
+              "inprocess / rewrite)%s\n\n",
               fast ? "  [fast widths]" : "");
 
   std::vector<std::unique_ptr<check::VerificationSession>> sessions;
@@ -156,21 +151,15 @@ int main() {
 
   const ModeRun aOff = runRaces(agreeTasks, allOff);
   const ModeRun aOn = runRaces(agreeTasks, allOn);
-  const ModeRun aPort = runRaces(agreeTasks, allOn, 3);
-  const bool agree =
-      aOff.outcomes == aOn.outcomes && aOn.outcomes == aPort.outcomes;
+  const bool agree = aOff.outcomes == aOn.outcomes;
   std::printf("agreement (corpus w8 + mutants, %zu tasks): %s\n",
-              agreeTasks.size(),
-              agree ? "all-off == all-on == portfolio" : "DISAGREE");
+              agreeTasks.size(), agree ? "all-off == all-on" : "DISAGREE");
   if (!agree)
     for (size_t i = 0; i < agreeTasks.size(); ++i)
-      if (aOff.outcomes[i] != aOn.outcomes[i] ||
-          aOn.outcomes[i] != aPort.outcomes[i])
-        std::printf("  %s: off=%s on=%s portfolio=%s\n",
-                    agreeTasks[i].label.c_str(),
+      if (aOff.outcomes[i] != aOn.outcomes[i])
+        std::printf("  %s: off=%s on=%s\n", agreeTasks[i].label.c_str(),
                     check::toString(aOff.outcomes[i]),
-                    check::toString(aOn.outcomes[i]),
-                    check::toString(aPort.outcomes[i]));
+                    check::toString(aOn.outcomes[i]));
 
   // ---- Leave-one-out ablation on the multi-query speed workload -----------
   const uint32_t speedWidth = fast ? 8 : 16;
@@ -225,16 +214,16 @@ int main() {
   const double netSpeedup = onSeconds > 0 ? offSeconds / onSeconds : 0;
   std::printf("net all-on vs all-off: %.2fx\n", netSpeedup);
 
-  // ---- Equivalence at full width: Z3 vs MiniSMT vs seed portfolio ---------
+  // ---- Equivalence at full width: Z3 vs MiniSMT ----------------------------
   const EquivPair equivPairs[] = {
       {"Transpose", "transposeNaive", "transposeOpt",
        fast ? 8u : 32u, true},
       {"Reduction", "reduceMod", "reduceStrided", fast ? 8u : 12u, false},
   };
   std::printf("\nparameterized +C equivalence (solve seconds):\n");
-  printRow("Pair", {"Z3", "MiniSMT", "Mini-pf3", "verdicts"});
+  printRow("Pair", {"Z3", "MiniSMT", "verdicts"});
   std::string jsonEquiv;
-  double z3Total = 0, miniTotal = 0, portTotal = 0;
+  double z3Total = 0, miniTotal = 0;
   bool equivAgree = true;
   for (const EquivPair& p : equivPairs) {
     sessions.push_back(std::make_unique<check::VerificationSession>(
@@ -242,25 +231,21 @@ int main() {
     const check::VerificationSession* s = sessions.back().get();
     const ModeRun rz = runEquiv(s, p, smt::Backend::Z3, allOn);
     const ModeRun rm = runEquiv(s, p, smt::Backend::Mini, allOn);
-    const ModeRun rp = runEquiv(s, p, smt::Backend::Mini, allOn, 3);
     z3Total += rz.solveSeconds;
     miniTotal += rm.solveSeconds;
-    portTotal += rp.solveSeconds;
-    const bool same = rz.outcomes == rm.outcomes && rm.outcomes == rp.outcomes;
+    const bool same = rz.outcomes == rm.outcomes;
     equivAgree = equivAgree && same;
-    char bz[32], bm[32], bp[32];
+    char bz[32], bm[32];
     std::snprintf(bz, sizeof bz, "%.3f", rz.solveSeconds);
     std::snprintf(bm, sizeof bm, "%.3f", rm.solveSeconds);
-    std::snprintf(bp, sizeof bp, "%.3f", rp.solveSeconds);
     char label[64];
     std::snprintf(label, sizeof label, "%s (%ub)", p.label, p.width);
-    printRow(label, {bz, bm, bp, same ? "agree" : "DISAGREE"});
+    printRow(label, {bz, bm, same ? "agree" : "DISAGREE"});
     if (!jsonEquiv.empty()) jsonEquiv += ",";
     jsonEquiv += "{\"pair\":" + json::quote(label) +
                  ",\"width\":" + std::to_string(p.width) +
                  ",\"z3_seconds\":" + json::number(rz.solveSeconds) +
                  ",\"mini_seconds\":" + json::number(rm.solveSeconds) +
-                 ",\"mini_portfolio_seconds\":" + json::number(rp.solveSeconds) +
                  ",\"z3_outcome\":" +
                  json::quote(check::toString(rz.outcomes[0])) +
                  ",\"mini_outcome\":" +
@@ -269,9 +254,8 @@ int main() {
   }
   const bool within2x = miniTotal <= 2.0 * z3Total || z3Total == 0;
   std::printf("equivalence totals: Z3 %.3fs, MiniSMT %.3fs (%.2fx of Z3, "
-              "bar: 2x), portfolio %.3fs\n",
-              z3Total, miniTotal, z3Total > 0 ? miniTotal / z3Total : 0,
-              portTotal);
+              "bar: 2x)\n",
+              z3Total, miniTotal, z3Total > 0 ? miniTotal / z3Total : 0);
 
   // ---- Emit ---------------------------------------------------------------
   const smt::mini::MiniStatsSnapshot ms = smt::mini::snapshotMiniStats();
@@ -280,9 +264,7 @@ int main() {
     if (i != 0) perTask += ",";
     perTask += "{\"task\":" + json::quote(agreeTasks[i].label) +
                ",\"off\":" + json::quote(check::toString(aOff.outcomes[i])) +
-               ",\"on\":" + json::quote(check::toString(aOn.outcomes[i])) +
-               ",\"portfolio\":" +
-               json::quote(check::toString(aPort.outcomes[i])) + "}";
+               ",\"on\":" + json::quote(check::toString(aOn.outcomes[i])) + "}";
   }
   std::string out =
       "{\"bench\":\"minismt\",\"fast\":" + std::string(fast ? "true" : "false") +
@@ -296,7 +278,6 @@ int main() {
       ",\"equivalence\":[" + jsonEquiv + "]" +
       ",\"equiv_z3_seconds\":" + json::number(z3Total) +
       ",\"equiv_mini_seconds\":" + json::number(miniTotal) +
-      ",\"equiv_mini_portfolio_seconds\":" + json::number(portTotal) +
       ",\"mini_within_2x_of_z3\":" + (within2x ? "true" : "false") +
       ",\"agreement_verdicts\":[" + perTask + "]" +
       ",\"mini_stats\":{\"conflicts\":" + std::to_string(ms.conflicts) +
@@ -311,11 +292,7 @@ int main() {
       ",\"strengthened\":" + std::to_string(ms.strengthened) +
       ",\"eliminated_vars\":" + std::to_string(ms.eliminatedVars) +
       ",\"restored_vars\":" + std::to_string(ms.restoredVars) +
-      ",\"exported_clauses\":" + std::to_string(ms.exportedClauses) +
-      ",\"imported_clauses\":" + std::to_string(ms.importedClauses) +
-      ",\"rewrites\":" + std::to_string(ms.rewrites) +
-      ",\"portfolio_races\":" + std::to_string(ms.portfolioRaces) +
-      ",\"winner_seed\":" + std::to_string(ms.winnerSeed) + "}}";
+      ",\"rewrites\":" + std::to_string(ms.rewrites) + "}}";
   if (std::FILE* f = std::fopen("BENCH_minismt.json", "w")) {
     std::fprintf(f, "%s\n", out.c_str());
     std::fclose(f);

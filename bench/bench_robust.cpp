@@ -9,8 +9,9 @@
 //           memory budget, registry still disarmed — what every run pays
 //           now that the machinery is compiled in
 //   chaos   armored engine under injected faults (transient timeouts,
-//           sporadic crashes, resource squeezes) — verdicts must match the
-//           unfaulted run and nothing may escape the ladder
+//           sporadic crashes, resource squeezes) — every verdict must match
+//           the unfaulted run of the backend that gave it and nothing may
+//           escape the ladder
 //
 // Plus a micro-measurement of the disarmed fault-site fast path (ns/op for
 // the check every instrumented site performs when chaos is off).
@@ -18,7 +19,11 @@
 // Emits BENCH_robust.json. Exit 1 when a gate fails:
 //   * any verdict differs between bare and armored (registry disarmed)
 //   * armored total latency is >5% above bare (min over reps)
-//   * any chaos scenario changes a verdict or leaks an uncontained failure
+//   * any chaos scenario changes a verdict or leaks an uncontained failure.
+//     A check the ladder failed over is answered by Z3, which decides some
+//     checks MiniSMT cannot (quantified frames), so its verdict is compared
+//     with an unfaulted Z3 run with the same retries; every other check
+//     with the unfaulted MiniSMT run.
 //
 // Env: PUGPARA_TIMEOUT_MS (solver budget, default 20000),
 //      PUGPARA_JOBS (workers, default: hardware threads),
@@ -72,10 +77,20 @@ Workload buildWorkload(const check::CheckOptions& opts) {
 
 struct RunOutcome {
   double ms = 0;
-  std::vector<std::string> verdicts;  // sorted "kind|kernel=outcome"
+  std::vector<std::string> verdicts;  // "kind|kernel=outcome", request order
+  std::vector<bool> failedOver;       // answered by the alternate backend
   size_t degraded = 0;                // results carrying a FailureInfo
   size_t unknowns = 0;
 };
+
+/// True when the ladder moved the check to the alternate backend: a
+/// degraded result records it in its FailureInfo, any other in a caveat.
+bool wasFailedOver(const check::Report& r) {
+  if (r.failure.failedOver) return true;
+  for (const std::string& c : r.caveats)
+    if (c.find("failover") != std::string::npos) return true;
+  return false;
+}
 
 RunOutcome runBatch(const Workload& w, const engine::EngineOptions& eopts) {
   engine::VerificationEngine engine(eopts);  // fresh: no cross-run cache heat
@@ -86,10 +101,10 @@ RunOutcome runBatch(const Workload& w, const engine::EngineOptions& eopts) {
   for (const check::CheckResult& r : results) {
     out.verdicts.push_back(std::string(check::toString(r.kind)) + "|" +
                            r.kernel + "=" + check::toString(r.report.outcome));
+    out.failedOver.push_back(wasFailedOver(r.report));
     if (r.report.failure.kind != check::FailureKind::None) ++out.degraded;
     if (r.report.outcome == check::Outcome::Unknown) ++out.unknowns;
   }
-  std::sort(out.verdicts.begin(), out.verdicts.end());
   return out;
 }
 
@@ -188,8 +203,19 @@ int main() {
   const double siteNs = disarmedSiteNs();
   std::printf("disarmed site check: %.2f ns/op\n", siteNs);
 
+  // The reference for checks the ladder fails over: what Z3 answers on
+  // its own, with the retries the ladder gives it after a failover.
+  check::CheckOptions z3opts = opts;
+  z3opts.backend = smt::Backend::Z3;
+  const Workload wz3 = buildWorkload(z3opts);
+  engine::EngineOptions z3eo = armoredOptions();
+  z3eo.failover = false;
+  const RunOutcome z3 = runBatch(wz3, z3eo);
+  std::printf("z3 reference: %9.2f ms\n", z3.ms);
+
   // Phase 4: chaos matrix — armored engine under injected faults. Each
-  // scenario must keep every verdict identical to the unfaulted run.
+  // scenario must keep every verdict identical to the unfaulted run of the
+  // backend that gave it.
   const std::vector<ChaosScenario> scenarios = {
       {"transient-timeout", "seed=7,solver.check.mini=first=2@timeout"},
       {"resource-squeeze", "seed=7,solver.check.mini=first=2@resource"},
@@ -200,6 +226,7 @@ int main() {
     std::string name;
     double ms = 0;
     bool verdictsEqual = false;
+    size_t failedOver = 0;
     size_t degraded = 0;
     uint64_t fires = 0;
   };
@@ -213,20 +240,27 @@ int main() {
       return 1;
     }
     const RunOutcome run = runBatch(w, armoredOptions());
+    std::vector<std::string> expected = armored.verdicts;
+    for (size_t i = 0; i < expected.size(); ++i)
+      if (run.failedOver[i]) expected[i] = z3.verdicts[i];
     ChaosResult cr;
     cr.name = s.name;
     cr.ms = run.ms;
-    cr.verdictsEqual = run.verdicts == armored.verdicts;
+    cr.verdictsEqual = run.verdicts == expected;
+    cr.failedOver = static_cast<size_t>(
+        std::count(run.failedOver.begin(), run.failedOver.end(), true));
     cr.degraded = run.degraded;
     cr.fires = fault::totalFires();
     fault::reset();
-    std::printf("  chaos %-18s %9.2f ms  fires=%llu degraded=%zu  %s\n",
-                s.name, cr.ms, static_cast<unsigned long long>(cr.fires),
-                cr.degraded, cr.verdictsEqual ? "verdicts equal" : "MISMATCH");
+    std::printf(
+        "  chaos %-18s %9.2f ms  fires=%llu failedOver=%zu degraded=%zu  %s\n",
+        s.name, cr.ms, static_cast<unsigned long long>(cr.fires),
+        cr.failedOver, cr.degraded,
+        cr.verdictsEqual ? "verdicts equal" : "MISMATCH");
     if (!cr.verdictsEqual) {
       chaosOk = false;
       std::fprintf(stderr, "bench_robust: chaos %s verdict diff: %s\n", s.name,
-                   verdictDiff(armored.verdicts, run.verdicts).c_str());
+                   verdictDiff(expected, run.verdicts).c_str());
     }
     if (cr.fires == 0) {
       chaosOk = false;
@@ -244,11 +278,13 @@ int main() {
        << "},\"overhead\":{\"bareMinMs\":" << bareMin
        << ",\"armoredMinMs\":" << armoredMin
        << ",\"overheadPct\":" << overheadPct
-       << ",\"disarmedSiteNs\":" << siteNs << "},\"chaos\":[";
+       << ",\"disarmedSiteNs\":" << siteNs
+       << "},\"z3ReferenceMs\":" << z3.ms << ",\"chaos\":[";
   for (size_t i = 0; i < chaos.size(); ++i) {
     const ChaosResult& c = chaos[i];
     json << (i ? "," : "") << "{\"name\":\"" << c.name << "\",\"ms\":" << c.ms
-         << ",\"fires\":" << c.fires << ",\"degraded\":" << c.degraded
+         << ",\"fires\":" << c.fires << ",\"failedOver\":" << c.failedOver
+         << ",\"degraded\":" << c.degraded
          << ",\"verdictsEqual\":" << (c.verdictsEqual ? "true" : "false")
          << "}";
   }

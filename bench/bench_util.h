@@ -35,12 +35,10 @@ inline unsigned benchJobs() {
 }
 
 /// Engine configuration every table bench runs its batch with
-/// (PUGPARA_JOBS / PUGPARA_PORTFOLIO).
+/// (PUGPARA_JOBS).
 inline engine::EngineOptions benchEngineOptions() {
   engine::EngineOptions eo;
   eo.jobs = benchJobs();
-  if (const char* env = std::getenv("PUGPARA_PORTFOLIO"))
-    eo.portfolio = env[0] != '\0' && env[0] != '0';
   return eo;
 }
 

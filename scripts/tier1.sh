@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full test suite on the default build, plus the
-# concurrency-sensitive suites (engine / portfolio / query cache) rebuilt and
+# concurrency-sensitive suites (engine / query cache / serve) rebuilt and
 # re-run under ThreadSanitizer so every PR race-checks the worker pool and the
 # solver cancellation paths.
 #
@@ -36,9 +36,9 @@ echo "== tier-1: IR ablation (PIR passes vs golden verdicts, tier-0 floor, time)
 (cd build && ./bench/ablate_ir)
 
 echo "== tier-1: MiniSMT ablation (technique agreement, reduced widths) =="
-# Fails when any raw-speed technique (LBD / chrono / inprocess / rewrite /
-# seed portfolio) changes a verdict on the corpus or the injected-bug
-# mutants; PUGPARA_MINI_FAST keeps the equivalence stage at CI-sized widths.
+# Fails when any raw-speed technique (LBD / chrono / inprocess / rewrite)
+# changes a verdict on the corpus or the injected-bug mutants;
+# PUGPARA_MINI_FAST keeps the equivalence stage at CI-sized widths.
 # Also emits BENCH_minismt.json with the ablation timings.
 (cd build && PUGPARA_MINI_FAST=1 ./bench/ablate_minismt)
 
@@ -52,7 +52,8 @@ echo "== tier-1: robustness bench (containment overhead + chaos matrix) =="
 # Fails when the fault-containment layer costs >5% with injection disarmed,
 # when bare/armored verdicts differ, or when any injected-fault scenario
 # (transient timeouts, resource squeezes, sporadic/persistent crashes)
-# changes a verdict; also emits BENCH_robust.json.
+# changes a verdict (a failed-over check must match an unfaulted Z3 run,
+# every other check the unfaulted MiniSMT run); also emits BENCH_robust.json.
 (cd build && ./bench/bench_robust)
 
 echo "== tier-1: serve smoke (daemon round-trip over the Unix socket) =="
@@ -81,11 +82,12 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target pugpara_tests
 # Only the suites that exercise cross-thread machinery; the sequential
 # checker/solver suites add nothing under TSan and triple the runtime.
-# ServeTest drives the daemon's accept loop, reader threads, worker pool and
-# streaming writer; CacheStoreTest covers the write-behind journal thread.
+# EngineTest cancels a solve in flight from another thread; ServeTest drives
+# the daemon's accept loop, reader threads, worker pool and streaming
+# writer; CacheStoreTest covers the write-behind journal thread.
 # Z3 ships uninstrumented, so suppress reports that originate inside it.
 TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp ${TSAN_OPTIONS:-}" \
   ./build-tsan/tests/pugpara_tests \
-  --gtest_filter='EngineTest.*:PortfolioTest.*:QueryCacheTest.*:StructuralHashTest.*:ServeTest.*:CacheStoreTest.*:FaultInjectTest.*:IrTest.*'
+  --gtest_filter='EngineTest.*:QueryCacheTest.*:StructuralHashTest.*:ServeTest.*:CacheStoreTest.*:FaultInjectTest.*:IrTest.*'
 
 echo "== tier-1: all stages passed =="

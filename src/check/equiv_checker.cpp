@@ -52,7 +52,11 @@ Report runParameterized(const lang::Kernel& src, const lang::Kernel& tgt,
   report.caveats = vcs.caveats;
   report.stats = vcs.stats;
 
-  bool anyUnknown = false;
+  // VCs the solver left open and the most severe reason it gave; a
+  // candidate witness that replay refuted also leaves the verdict open.
+  size_t undecided = 0;
+  smt::UnknownReason why = smt::UnknownReason::None;
+  bool rejected = false;
   // Tier 0: each VC is a standalone conjunction (no shared prefix), so the
   // abstract domain gets one shot at proving it unsatisfiable — i.e. the
   // VC holds — before any solver sees it.
@@ -92,7 +96,8 @@ Report runParameterized(const lang::Kernel& src, const lang::Kernel& tgt,
     ++report.discharge.solverCalls;
     ++report.discharge.fullSmt;
     if (r == smt::CheckResult::Unknown) {
-      anyUnknown = true;
+      ++undecided;
+      why = std::max(why, solver->unknownReason());
       continue;
     }
     if (r == smt::CheckResult::Unsat) continue;
@@ -116,13 +121,19 @@ Report runParameterized(const lang::Kernel& src, const lang::Kernel& tgt,
       return report;
     }
     // Replay rejected the witness: with caveats/bug-hunt this can happen.
-    anyUnknown = true;
+    rejected = true;
     report.detail = "candidate from '" + vc.name +
                     "' did not replay; result inconclusive";
   }
 
-  if (anyUnknown) {
+  if (undecided > 0 || rejected) {
     report.outcome = Outcome::Unknown;
+    if (undecided > 0) {
+      const std::string open = std::to_string(undecided) + " of " +
+                               std::to_string(vcs.vcs.size()) +
+                               " VCs undecided (" + smt::toString(why) + ")";
+      report.detail = rejected ? open + "; " + report.detail : open;
+    }
   } else if (mode == para::FrameMode::BugHunt) {
     report.outcome = Outcome::NoBugFound;
     report.detail = "no bug found (bug-hunt is under-approximate)";

@@ -27,8 +27,8 @@ struct CheckOptions {
   Method method = Method::Auto;
   uint32_t width = 16;  // scalar bit-width (Table II's 8b/16b/32b knob)
   smt::Backend backend = smt::Backend::Z3;
-  /// MiniSMT raw-speed technique toggles and seed-portfolio width; ignored
-  /// by the Z3 backend. Defaults: every technique on, portfolio off.
+  /// MiniSMT raw-speed technique toggles; ignored by the Z3 backend.
+  /// Default: every technique on.
   smt::MiniTuning mini;
   para::FrameMode frameMode = para::FrameMode::MonotoneQe;
   uint32_t solverTimeoutMs = 300000;  // the paper's 5-minute T.O.
@@ -76,8 +76,8 @@ struct CheckOptions {
   uint64_t maxReplayThreads = 1 << 16;
 
   /// Solver construction override. The checkers obtain every solver through
-  /// makeSolver() below; the verification engine injects caching, portfolio
-  /// racing, deadlines and cancellation here without the checkers knowing.
+  /// makeSolver() below; the verification engine injects caching,
+  /// deadlines and cancellation here without the checkers knowing.
   /// Null (the default) means a plain `backend` solver.
   std::function<std::unique_ptr<smt::Solver>()> solverFactory;
 

@@ -28,7 +28,11 @@ Report solveParamVcs(const lang::Kernel& kernel, expr::Context& ctx,
   report.stats = vcs.stats;
   const uint32_t width = options.width;
 
-  bool anyUnknown = false;
+  // VCs the solver left open and the most severe reason it gave; a
+  // candidate witness that replay refuted also leaves the verdict open.
+  size_t undecided = 0;
+  smt::UnknownReason why = smt::UnknownReason::None;
+  bool rejected = false;
   // Tier 0: a VC the abstract domain proves unsatisfiable holds outright.
   abstract::Prefilter prefilter;
   // Incremental mode: one solver serves the whole VC batch (the VCs share
@@ -65,7 +69,8 @@ Report solveParamVcs(const lang::Kernel& kernel, expr::Context& ctx,
     ++report.discharge.solverCalls;
     ++report.discharge.fullSmt;
     if (r == smt::CheckResult::Unknown) {
-      anyUnknown = true;
+      ++undecided;
+      why = std::max(why, solver->unknownReason());
       continue;
     }
     if (r == smt::CheckResult::Unsat) continue;
@@ -87,13 +92,19 @@ Report solveParamVcs(const lang::Kernel& kernel, expr::Context& ctx,
       report.totalSeconds = total.seconds();
       return report;
     }
-    anyUnknown = true;
+    rejected = true;
     report.detail =
         "candidate for '" + vc.name + "' did not replay; inconclusive";
   }
 
-  if (anyUnknown) {
+  if (undecided > 0 || rejected) {
     report.outcome = Outcome::Unknown;
+    if (undecided > 0) {
+      const std::string open = std::to_string(undecided) + " of " +
+                               std::to_string(vcs.vcs.size()) +
+                               " VCs undecided (" + smt::toString(why) + ")";
+      report.detail = rejected ? open + "; " + report.detail : open;
+    }
   } else if (!vcs.exact) {
     report.outcome = Outcome::NoBugFound;
     report.detail = "no violation found (under-approximate premises)";

@@ -39,7 +39,7 @@ enum class FailureKind : uint8_t {
 struct FailureInfo {
   FailureKind kind = FailureKind::None;
   std::string detail;     // free-form: what failed, at which rung
-  uint32_t retries = 0;   // same-backend retry attempts consumed
+  uint32_t retries = 0;   // retry attempts consumed, on either backend
   bool failedOver = false;  // alternate backend was tried
 
   [[nodiscard]] std::string json() const;

@@ -9,8 +9,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "engine/portfolio_solver.h"
-
 namespace pugpara::engine {
 
 namespace {
@@ -204,7 +202,8 @@ class GovernedSolver final : public smt::Solver {
   }
   void requestStop() override { inner_->requestStop(); }
   [[nodiscard]] smt::UnknownReason unknownReason() const override {
-    return inner_->unknownReason();
+    return bailedOut_ != smt::UnknownReason::None ? bailedOut_
+                                                  : inner_->unknownReason();
   }
 
   [[nodiscard]] std::string name() const override { return inner_->name(); }
@@ -212,9 +211,15 @@ class GovernedSolver final : public smt::Solver {
  private:
   template <typename CheckFn>
   smt::CheckResult governed(CheckFn runCheck) {
-    if (cancel_->cancelled.load(std::memory_order_acquire) ||
-        deadline_.expired())
+    bailedOut_ = smt::UnknownReason::None;
+    if (cancel_->cancelled.load(std::memory_order_acquire)) {
+      bailedOut_ = smt::UnknownReason::Interrupted;
       return clip();
+    }
+    if (deadline_.expired()) {
+      bailedOut_ = smt::UnknownReason::Timeout;
+      return clip();
+    }
 
     uint32_t budget = requestedTimeoutMs_;
     if (const uint32_t left = deadline_.remainingMs(); left != 0)
@@ -296,6 +301,9 @@ class GovernedSolver final : public smt::Solver {
   std::shared_ptr<FailureSignal> signal_;
   std::shared_ptr<Watchdog> watchdog_;
   uint32_t requestedTimeoutMs_ = 0;
+  /// Why the last check() answered Unknown without reaching the inner
+  /// solver (None when it did reach it).
+  smt::UnknownReason bailedOut_ = smt::UnknownReason::None;
 };
 
 }  // namespace
@@ -332,7 +340,7 @@ struct Attempt {
 }  // namespace
 
 check::CheckResult VerificationEngine::runOne(const BoundCheck& check) {
-  check::CheckRequest base = check.request;
+  const check::CheckRequest& base = check.request;
 
   // The deadline is resolved ONCE and spans the whole ladder: retries and
   // failover buy a stuck check more chances, never more wall-clock than
@@ -345,18 +353,9 @@ check::CheckResult VerificationEngine::runOne(const BoundCheck& check) {
     deadline.end = Clock::now() + std::chrono::milliseconds(deadlineMs);
   }
 
-  const bool portfolio = options_.portfolio;
-  // The mini-portfolio engine mode answers every query with MiniSMT's
-  // in-process seed portfolio; it overrides the request's backend choice.
-  if (options_.miniPortfolio > 1 && !portfolio) {
-    base.options.backend = smt::Backend::Mini;
-    base.options.mini.portfolio = options_.miniPortfolio;
-  }
-
   // Ladder state: budgets back off exponentially on retry, the backend
   // flips once on failover.
   smt::Backend backend = base.options.backend;
-  smt::MiniTuning mini = base.options.mini;
   uint32_t timeoutMs = base.options.solverTimeoutMs;
   uint32_t memoryMb = base.options.memoryBudgetMb != 0
                           ? base.options.memoryBudgetMb
@@ -365,7 +364,6 @@ check::CheckResult VerificationEngine::runOne(const BoundCheck& check) {
   auto attempt = [&]() -> Attempt {
     check::CheckRequest req = base;
     req.options.backend = backend;
-    req.options.mini = mini;
     req.options.solverTimeoutMs = timeoutMs;
     req.options.memoryBudgetMb = memoryMb;
     auto signal = std::make_shared<FailureSignal>();
@@ -373,14 +371,11 @@ check::CheckResult VerificationEngine::runOne(const BoundCheck& check) {
     std::shared_ptr<Watchdog> watchdog = watchdog_;
     smt::QueryCache* cache = cache_.get();
     const smt::Backend b = backend;
-    const smt::MiniTuning m = mini;
-    req.options.solverFactory = [portfolio, b, m, cancel, cache, deadline,
-                                 signal,
+    const smt::MiniTuning mini = base.options.mini;
+    req.options.solverFactory = [b, mini, cancel, cache, deadline, signal,
                                  watchdog]() -> std::unique_ptr<smt::Solver> {
-      std::unique_ptr<smt::Solver> s =
-          portfolio ? makePortfolioSolver() : smt::makeSolver(b, m);
-      s = std::make_unique<GovernedSolver>(std::move(s), cancel, deadline,
-                                           signal, watchdog);
+      std::unique_ptr<smt::Solver> s = std::make_unique<GovernedSolver>(
+          smt::makeSolver(b, mini), cancel, deadline, signal, watchdog);
       return smt::makeCachingSolver(std::move(s), *cache);
     };
 
@@ -423,25 +418,32 @@ check::CheckResult VerificationEngine::runOne(const BoundCheck& check) {
            !cancel_->cancelled.load(std::memory_order_acquire);
   };
 
-  // Rung 1: same-backend retries with exponential budget backoff. A
-  // deadline that already ran out is the client's hard contract — no rung
-  // may outlive it.
-  while (retryable(a) && retries < options_.maxRetries && ladderLive()) {
-    ++retries;
-    if (a.kind == check::FailureKind::Timeout) timeoutMs = doubled(timeoutMs);
-    if (a.kind == check::FailureKind::Resource && memoryMb != 0)
-      memoryMb = doubled(memoryMb);
-    a = attempt();
-  }
+  // Rung 1: up to maxRetries retries on the current backend with
+  // exponential budget backoff. A deadline that already ran out is the
+  // client's hard contract — no rung may outlive it.
+  const auto retryOnBackend = [&]() {
+    for (unsigned n = 0;
+         n < options_.maxRetries && retryable(a) && ladderLive(); ++n) {
+      ++retries;
+      if (a.kind == check::FailureKind::Timeout)
+        timeoutMs = doubled(timeoutMs);
+      if (a.kind == check::FailureKind::Resource && memoryMb != 0)
+        memoryMb = doubled(memoryMb);
+      a = attempt();
+    }
+  };
+  retryOnBackend();
 
-  // Rung 2: one shot on the alternate backend. Pointless in cross-backend
-  // portfolio mode (both already raced on every query).
-  if (retryable(a) && options_.failover && !portfolio && ladderLive()) {
+  // Rung 2: fail over to the alternate backend. The retries above went to
+  // the failed backend, so the alternate gets its own under the same
+  // backoff rules: a first attempt that times out is retried with a
+  // doubled budget, as it would be on the primary.
+  if (retryable(a) && options_.failover && ladderLive()) {
     failedOver = true;
     backend = backend == smt::Backend::Mini ? smt::Backend::Z3
                                             : smt::Backend::Mini;
-    mini.portfolio = 1;  // the clone fleet belonged to the failed backend
     a = attempt();
+    retryOnBackend();
   }
 
   // Rung 3: degrade. The verdict we have is the verdict we return — but a
@@ -457,9 +459,7 @@ check::CheckResult VerificationEngine::runOne(const BoundCheck& check) {
       result.report.failure.detail =
           std::string("containment ladder exhausted (") +
           check::toString(a.kind) + " on " +
-          (portfolio ? "portfolio" : failedOver ? "both backends"
-                                                : "primary backend") +
-          ")";
+          (failedOver ? "both backends" : "primary backend") + ")";
   } else if (retries > 0 || failedOver) {
     std::string how = failedOver ? "failover to the alternate backend"
                                  : "retry with a larger budget";

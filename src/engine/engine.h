@@ -9,8 +9,9 @@
 //
 // The engine threads its machinery through CheckOptions::solverFactory, so
 // the checkers themselves stay single-threaded and oblivious: each solver
-// they create is transparently wrapped with (inside-out) the portfolio
-// racer, the deadline/cancellation governor and the query cache.
+// they create is transparently wrapped with (inside-out) the
+// deadline/cancellation governor and the query cache. Every query goes to
+// one backend solver.
 #pragma once
 
 #include <memory>
@@ -32,24 +33,14 @@ struct EngineOptions {
   /// Worker threads for runAll. 1 = sequential (the default, deterministic
   /// baseline); 0 = one per hardware thread.
   unsigned jobs = 1;
-  /// Race Z3 against MiniSMT on every query and take the first answer
-  /// (see portfolio_solver.h). Doubles transient solver memory.
-  bool portfolio = false;
-  /// Third engine mode: answer every query with MiniSMT's in-process seed
-  /// portfolio — N SAT-solver clones with diverse restart/branching/phase
-  /// seeds racing on the same CNF with learnt-clause sharing (see
-  /// smt/mini/share.h). <= 1 = off. Forces the Mini backend; mutually
-  /// exclusive with `portfolio` (which races across backends instead).
-  unsigned miniPortfolio = 1;
   /// Deadline applied to checks whose request leaves deadlineMs at 0.
   uint32_t defaultDeadlineMs = 0;
-  /// Containment ladder: same-backend retry attempts (with exponential
-  /// time/memory budget backoff) before failing over. 0 disables retries.
+  /// Containment ladder: retry attempts per backend (with exponential
+  /// time/memory budget backoff). 0 disables retries.
   unsigned maxRetries = 1;
-  /// Containment ladder: after retries are exhausted, re-run the check once
-  /// on the alternate backend (Z3 <-> MiniSMT) before degrading to a
-  /// caveated Unknown. Ignored in cross-backend portfolio mode (both
-  /// backends already raced).
+  /// Containment ladder: after the retries are exhausted, re-run the check
+  /// on the alternate backend (Z3 <-> MiniSMT), which gets its own
+  /// `maxRetries` retries, before degrading to a caveated Unknown.
   bool failover = true;
   /// Per-solver memory budget in MiB applied to checks whose request
   /// leaves CheckOptions::memoryBudgetMb at 0 (0 = unlimited).

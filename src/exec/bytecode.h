@@ -61,7 +61,6 @@ struct CompiledKernel {
   std::vector<std::string> localNames;    // slot -> name (debugging)
   std::vector<ArrayInfo> arrays;          // LoadArray/StoreArray `a` operands
   std::vector<const lang::VarDecl*> scalarParams;  // order of scalar args
-  std::vector<const lang::Stmt*> postconds;        // checked by the host
 
   [[nodiscard]] std::string disassemble() const;
 };

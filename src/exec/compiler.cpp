@@ -294,8 +294,7 @@ class Compiler {
         expr(*s.cond);
         emit(Op::Assume, s.loc);
         return;
-      case Stmt::Kind::Postcond:
-        out_.postconds.push_back(&s);
+      case Stmt::Kind::Postcond:  // evaluated by replay, never executed
         return;
     }
   }

@@ -287,8 +287,7 @@ class IrCompiler {
         case ir::Op::ThreadExit:
           emit(in.loc, exec::Op::Halt);
           break;
-        case ir::Op::SpecRef:
-          out_.postconds.push_back(fn_.specs[in.imm].src);
+        case ir::Op::SpecRef:  // evaluated by replay, never executed
           break;
         case ir::Op::SharedLoad:
         case ir::Op::GlobalLoad:

@@ -225,8 +225,7 @@ std::string canonicalCheckString(const std::string& source,
   std::sort(conc.begin(), conc.end());
   for (const auto& [k, val] : conc) os << k << '=' << val << ';';
   os << sep << req.options.mini.lbd << req.options.mini.chrono
-     << req.options.mini.inprocess << req.options.mini.rewrite << sep
-     << req.options.mini.portfolio << sep << req.options.mini.seed;
+     << req.options.mini.inprocess << req.options.mini.rewrite;
   return os.str();
 }
 

@@ -131,8 +131,6 @@ bool Server::start(std::string* err) {
 
   engine::EngineOptions eopts;
   eopts.jobs = 1;  // the serve pool schedules; the engine just wraps solvers
-  eopts.portfolio = options_.portfolio;
-  eopts.miniPortfolio = options_.miniPortfolio;
   eopts.defaultDeadlineMs = options_.defaultDeadlineMs;
   eopts.maxRetries = options_.maxRetries;
   eopts.failover = options_.failover;

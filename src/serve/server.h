@@ -70,9 +70,6 @@ struct ServeOptions {
   check::CheckOptions defaults;
   /// Deadline for requests that leave deadline_ms at 0 (0 = none).
   uint32_t defaultDeadlineMs = 0;
-  /// Engine extras: cross-backend portfolio / MiniSMT seed portfolio.
-  bool portfolio = false;
-  unsigned miniPortfolio = 1;
   /// Containment-ladder knobs (engine::EngineOptions::maxRetries/failover).
   unsigned maxRetries = 1;
   bool failover = true;

@@ -21,13 +21,7 @@
 //    root-level inprocessing (sat_solver.cpp);
 //  * a structural word-level rewriter applied before bit-blasting
 //    (rewrite.cpp) — every rule is a semantic equality, so it is sound
-//    for assertions and assumptions alike;
-//  * an in-process seed portfolio: N-1 SatSolver clones mirror the
-//    primary's CNF (newVar/addClause/setFrozen fan out at encode time)
-//    and race the primary on each query under diverse restart/branching/
-//    phase seeds, exchanging low-LBD learnt clauses through a shared
-//    pool. Only SAT solvers are cloned — expr::Context and the lowering
-//    pipeline are single-threaded and stay on the caller's thread.
+//    for assertions and assumptions alike.
 //
 // Inprocessing may eliminate variables, so everything the outside world
 // can still name is frozen: blasted input-variable bits and the constant
@@ -44,7 +38,6 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "expr/eval.h"
@@ -53,7 +46,6 @@
 #include "smt/mini/bitblast.h"
 #include "smt/mini/preprocess.h"
 #include "smt/mini/rewrite.h"
-#include "smt/mini/share.h"
 #include "smt/mini/stats.h"
 #include "smt/solver.h"
 #include "support/diagnostics.h"
@@ -78,38 +70,12 @@ bool containsQuantifier(Expr e) {
   return found;
 }
 
-/// Per-participant SAT configuration: participant 0 is the primary with
-/// the vanilla configuration, clones get diverse restart cadences, phase
-/// polarities and random-decision rates so the race explores different
-/// parts of the search tree. The technique toggles apply uniformly.
-mini::SatConfig satConfigFor(const MiniTuning& t, unsigned i) {
+/// Maps the MiniTuning technique toggles onto the SAT core's configuration.
+mini::SatConfig satConfigFor(const MiniTuning& t) {
   mini::SatConfig c;
   c.lbdReduce = t.lbd;
   c.chrono = t.chrono;
   c.inprocess = t.inprocess;
-  c.seed = t.seed + i;
-  switch (i == 0 ? 0u : 1u + (i - 1) % 4) {
-    case 0:  // primary: defaults
-      break;
-    case 1:  // opposite phase, slower restarts
-      c.initialPhase = true;
-      c.restartBase = 128;
-      break;
-    case 2:  // jittery: fast restarts plus random decisions
-      c.randomFreq = 0.02;
-      c.restartBase = 32;
-      break;
-    case 3:  // deep runs, opposite phase, eager chronological backtracking
-      c.initialPhase = true;
-      c.randomFreq = 0.01;
-      c.restartBase = 256;
-      c.chronoDistance = 16;
-      break;
-    case 4:  // heavy diversification for wide portfolios
-      c.randomFreq = 0.05;
-      c.restartBase = 1024;
-      break;
-  }
   return c;
 }
 
@@ -227,30 +193,22 @@ class MiniSolver final : public Solver {
 
     WallTimer timer;
     const uint32_t budget = timeoutMs_;
-    mini::SatResult r;
-    if (!eng_->clones.empty()) {
-      r = raceSolve(assume, timer, budget);
-    } else {
-      eng_->sat.setInterrupt([this, &timer, budget]() {
-        if (stopped_.load(std::memory_order_acquire)) return false;
-        return budget == 0 || timer.millis() < budget;
-      });
-      r = eng_->sat.solve(assume);
-      eng_->sat.setInterrupt({});  // the timer dies with this frame
-    }
+    eng_->sat.setInterrupt([this, &timer, budget]() {
+      if (stopped_.load(std::memory_order_acquire)) return false;
+      return budget == 0 || timer.millis() < budget;
+    });
+    const mini::SatResult r = eng_->sat.solve(assume);
+    eng_->sat.setInterrupt({});  // the timer dies with this frame
 
     switch (r) {
       case mini::SatResult::Unsat:
         return CheckResult::Unsat;
-      case mini::SatResult::Aborted: {
-        bool memHit = eng_->sat.memoryExceeded();
-        for (const auto& c : eng_->clones) memHit |= c->memoryExceeded();
+      case mini::SatResult::Aborted:
         lastReason_ = stopped_.load(std::memory_order_acquire)
                           ? UnknownReason::Interrupted
-                      : memHit ? UnknownReason::Resource
-                               : UnknownReason::Timeout;
+                      : eng_->sat.memoryExceeded() ? UnknownReason::Resource
+                                                   : UnknownReason::Timeout;
         return CheckResult::Unknown;
-      }
       case mini::SatResult::Sat:
         break;
     }
@@ -324,43 +282,14 @@ class MiniSolver final : public Solver {
     mini::ArrayLowerer arrays;
     mini::Preprocessor pre;
     mini::Rewriter rw;
-    // Seed portfolio: clones_ mirror the primary's CNF and race it on
-    // every query; the exchange carries low-LBD learnts between all
-    // participants (primary is participant 0).
-    std::vector<std::unique_ptr<SatSolver>> clones;
-    std::unique_ptr<mini::ClauseExchange> exchange;
 
     Engine(expr::Context& ctx, const MiniTuning& t)
-        : sat(satConfigFor(t, 0)), arrays(ctx), pre(ctx), rw(ctx) {
-      const unsigned n = t.portfolio;
-      if (n <= 1) return;
-      exchange = std::make_unique<mini::ClauseExchange>(n);
-      for (unsigned i = 1; i < n; ++i)
-        clones.push_back(std::make_unique<SatSolver>(satConfigFor(t, i)));
-      for (auto& c : clones) sat.addClone(c.get());
-      mini::ClauseExchange* ex = exchange.get();
-      auto wire = [ex](SatSolver& s, size_t idx) {
-        s.setClauseExport(
-            [ex, idx](const std::vector<Lit>& lits, uint32_t /*lbd*/) {
-              ex->publish(idx, lits);
-            });
-        s.setClauseImport(
-            [ex, idx](std::vector<Lit>& out) { return ex->pull(idx, out); });
-      };
-      wire(sat, 0);
-      for (size_t i = 0; i < clones.size(); ++i) wire(*clones[i], i + 1);
-    }
+        : sat(satConfigFor(t)), arrays(ctx), pre(ctx), rw(ctx) {}
   };
 
-  /// Splits the per-query budget across the primary and its racing clones
-  /// (they mirror the same CNF, so each gets an equal slice).
   void applyMemoryBudget() {
-    if (eng_ == nullptr) return;
-    const uint64_t total = uint64_t{memoryBudgetMb_} << 20;
-    const uint64_t share =
-        memoryBudgetMb_ == 0 ? 0 : total / (eng_->clones.size() + 1);
-    eng_->sat.setMemoryBudget(share);
-    for (auto& c : eng_->clones) c->setMemoryBudget(share);
+    if (eng_ != nullptr)
+      eng_->sat.setMemoryBudget(uint64_t{memoryBudgetMb_} << 20);
   }
 
   bool hasQuantifier(Expr e) {
@@ -426,87 +355,27 @@ class MiniSolver final : public Solver {
     return eng_->bb.boolLit(wordRewrite(g));
   }
 
-  /// Runs the primary and all clones on the same assumptions, first
-  /// decisive answer wins. The primary occupies the caller's thread.
-  /// Soundness: all participants decide the same CNF ∧ assumptions, so
-  /// Sat/Unsat answers can never disagree; the losers are interrupted and
-  /// report Aborted, which is discarded. On a clone Sat, the primary
-  /// adopts the winner's full model (extended over its eliminated
-  /// variables by the clone itself before it returned).
-  mini::SatResult raceSolve(const std::vector<Lit>& assume, WallTimer& timer,
-                            uint32_t budget) {
-    auto& clones = eng_->clones;
-    const size_t n = clones.size() + 1;
-    std::vector<mini::SatResult> results(n, mini::SatResult::Aborted);
-    std::atomic<bool> raceDone{false};
-    std::atomic<int> winner{-1};
-
-    auto keepGoing = [this, &timer, budget, &raceDone]() {
-      if (raceDone.load(std::memory_order_acquire)) return false;
-      if (stopped_.load(std::memory_order_acquire)) return false;
-      return budget == 0 || timer.millis() < budget;
-    };
-    eng_->sat.setInterrupt(keepGoing);
-    for (auto& c : clones) c->setInterrupt(keepGoing);
-
-    auto finish = [&](size_t idx, mini::SatResult r) {
-      results[idx] = r;
-      if (r != mini::SatResult::Aborted) {
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, static_cast<int>(idx)))
-          raceDone.store(true, std::memory_order_release);
-      }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(clones.size());
-    for (size_t i = 0; i < clones.size(); ++i)
-      threads.emplace_back(
-          [&, i]() { finish(i + 1, clones[i]->solve(assume)); });
-    finish(0, eng_->sat.solve(assume));
-    for (std::thread& th : threads) th.join();
-
-    // Clear the interrupts: they capture this stack frame.
-    eng_->sat.setInterrupt({});
-    for (auto& c : clones) c->setInterrupt({});
-
-    auto& g = mini::miniGlobalStats();
-    g.portfolioRaces.fetch_add(1, std::memory_order_relaxed);
-    const int w = winner.load(std::memory_order_acquire);
-    if (w < 0) return mini::SatResult::Aborted;  // timeout / stop everywhere
-    const SatSolver& ws = w == 0 ? eng_->sat : *clones[w - 1];
-    g.winnerSeed.store(ws.config().seed, std::memory_order_relaxed);
-    if (results[w] == mini::SatResult::Sat && w != 0)
-      eng_->sat.adoptModelFrom(*clones[w - 1]);
-    return results[static_cast<size_t>(w)];
-  }
-
-  /// Folds this solver's lifetime counters (primary, clones, rewriter)
-  /// into the process-wide MiniSMT statistics.
+  /// Folds this solver's lifetime counters (SAT core, rewriter) into the
+  /// process-wide MiniSMT statistics.
   void flushStats() {
     if (eng_ == nullptr) return;
     auto& g = mini::miniGlobalStats();
-    auto acc = [&g](const SatSolver::Stats& s) {
-      g.conflicts += s.conflicts;
-      g.decisions += s.decisions;
-      g.propagations += s.propagations;
-      g.restarts += s.restarts;
-      g.learnts += s.learnts;
-      g.lbdGlue += s.lbdGlue;
-      g.lbdMid += s.lbdMid;
-      g.lbdLarge += s.lbdLarge;
-      g.learntsDeleted += s.learntsDeleted;
-      g.chronoBacktracks += s.chronoBacktracks;
-      g.inprocessRuns += s.inprocessRuns;
-      g.subsumed += s.subsumed;
-      g.strengthened += s.strengthened;
-      g.eliminatedVars += s.eliminatedVars;
-      g.restoredVars += s.restoredVars;
-      g.exportedClauses += s.exportedClauses;
-      g.importedClauses += s.importedClauses;
-    };
-    acc(eng_->sat.stats());
-    for (const auto& c : eng_->clones) acc(c->stats());
+    const SatSolver::Stats& s = eng_->sat.stats();
+    g.conflicts += s.conflicts;
+    g.decisions += s.decisions;
+    g.propagations += s.propagations;
+    g.restarts += s.restarts;
+    g.learnts += s.learnts;
+    g.lbdGlue += s.lbdGlue;
+    g.lbdMid += s.lbdMid;
+    g.lbdLarge += s.lbdLarge;
+    g.learntsDeleted += s.learntsDeleted;
+    g.chronoBacktracks += s.chronoBacktracks;
+    g.inprocessRuns += s.inprocessRuns;
+    g.subsumed += s.subsumed;
+    g.strengthened += s.strengthened;
+    g.eliminatedVars += s.eliminatedVars;
+    g.restoredVars += s.restoredVars;
     g.rewrites += eng_->rw.rewritesApplied();
   }
 

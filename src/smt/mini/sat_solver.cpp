@@ -11,8 +11,6 @@ namespace {
 constexpr double kVarDecay = 0.95;
 constexpr double kClauseDecay = 0.999;
 constexpr double kRescale = 1e100;
-constexpr size_t kShareMaxSize = 32;       // never export longer clauses
-constexpr size_t kImportBatch = 256;       // imported clauses per drain
 constexpr size_t kMaxSubsumerSize = 16;    // subsumers longer than this skip
 constexpr size_t kMaxOccScan = 400;        // skip huge occurrence lists
 constexpr size_t kElimMaxOcc = 10;         // |pos| + |neg| cap for BVE
@@ -22,7 +20,7 @@ constexpr size_t kElimMaxResolvent = 16;   // literal cap per resolvent
 Var SatSolver::newVar() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(LBool::Undef);
-  savedPhase_.push_back(cfg_.initialPhase);
+  savedPhase_.push_back(false);
   level_.push_back(0);
   reason_.push_back(kNoReason);
   activity_.push_back(0);
@@ -35,7 +33,6 @@ Var SatSolver::newVar() {
   heapPos_.push_back(static_cast<uint32_t>(order_.size()));
   order_.push_back(v);
   // Sift up is unnecessary (activity 0 <= everything).
-  for (SatSolver* c : clones_) (void)c->newVar();
   return v;
 }
 
@@ -44,7 +41,6 @@ void SatSolver::setFrozen(Var v, bool frozen) {
   // Freezing an already-eliminated variable means the caller is about to
   // rely on it again: bring its clauses back.
   if (frozen && eliminated_[v]) restoreVar(v);
-  for (SatSolver* c : clones_) c->setFrozen(v, frozen);
 }
 
 // heap helpers ---------------------------------------------------------------
@@ -112,15 +108,6 @@ void SatSolver::bumpVar(Var v) {
 }
 
 Lit SatSolver::pickBranch() {
-  // Occasional random decisions diversify portfolio clones searching the
-  // same CNF (harmless at the default frequency of 0).
-  if (cfg_.randomFreq > 0 && !order_.empty() &&
-      rng_.below(1u << 20) < static_cast<uint64_t>(cfg_.randomFreq * (1u << 20))) {
-    for (int tries = 0; tries < 8; ++tries) {
-      const Var v = order_[rng_.below(order_.size())];
-      if (!assigned(v) && !eliminated_[v]) return Lit(v, !savedPhase_[v]);
-    }
-  }
   while (!order_.empty()) {
     const Var v = heapPop();
     if (!assigned(v) && !eliminated_[v]) return Lit(v, !savedPhase_[v]);
@@ -171,16 +158,12 @@ bool SatSolver::addClause(std::vector<Lit> lits) {
     memExceeded_ = true;
     throw PugError("minismt: memory budget exceeded while encoding");
   }
-  // Mirror the original clause into portfolio clones before local
-  // simplification (each clone simplifies against its own root state).
-  for (SatSolver* c : clones_) (void)c->addClause(lits);
   if (unsatAtTopLevel_) return false;
   require(trailLim_.empty(), "SatSolver::addClause during solve");
-  return addClauseRoot(std::move(lits), /*learnt=*/false, /*lbd=*/0);
+  return addClauseRoot(std::move(lits));
 }
 
-bool SatSolver::addClauseRoot(std::vector<Lit> lits, bool learnt,
-                              uint32_t lbd) {
+bool SatSolver::addClauseRoot(std::vector<Lit> lits) {
   if (unsatAtTopLevel_) return false;
   // Restore-on-mention: a clause naming an eliminated variable re-activates
   // it (recursively — restored clauses may name other eliminated vars).
@@ -215,8 +198,6 @@ bool SatSolver::addClauseRoot(std::vector<Lit> lits, bool learnt,
   }
   Clause c;
   c.lits = std::move(lits);
-  c.learnt = learnt;
-  c.lbd = learnt && lbd == 0 ? static_cast<uint32_t>(c.lits.size()) : lbd;
   clauses_.push_back(std::move(c));
   attach(static_cast<ClauseRef>(clauses_.size() - 1));
   return true;
@@ -228,25 +209,13 @@ void SatSolver::restoreVar(Var v) {
   if (!assigned(v)) heapInsert(v);
   std::vector<std::vector<Lit>> stored = std::move(elimStore_[v]);
   elimStore_[v].clear();
-  for (auto& lits : stored)
-    addClauseRoot(std::move(lits), /*learnt=*/false, /*lbd=*/0);
+  for (auto& lits : stored) addClauseRoot(std::move(lits));
 }
 
 void SatSolver::attach(ClauseRef cr) {
   const Clause& c = clauses_[cr];
   watches_[(~c.lits[0]).code()].push_back({cr, c.lits[1]});
   watches_[(~c.lits[1]).code()].push_back({cr, c.lits[0]});
-}
-
-void SatSolver::drainImports() {
-  if (!importFn_ || unsatAtTopLevel_) return;
-  std::vector<Lit> lits;
-  for (size_t n = 0; n < kImportBatch && importFn_(lits); ++n) {
-    ++stats_.importedClauses;
-    addClauseRoot(std::move(lits), /*learnt=*/true, /*lbd=*/0);
-    lits.clear();
-    if (unsatAtTopLevel_) return;
-  }
 }
 
 // trail / propagation -----------------------------------------------------------
@@ -829,17 +798,11 @@ SatResult SatSolver::solve(std::span<const Lit> assumptions) {
   for (const Lit a : assumptions)
     if (a.var() < eliminated_.size() && eliminated_[a.var()])
       restoreVar(a.var());
-  const auto rootOk = [this] {
-    if (unsatAtTopLevel_) return false;
-    if (propagate() != kNoReason) {
-      unsatAtTopLevel_ = true;
-      return false;
-    }
-    return true;
-  };
-  if (!rootOk()) return SatResult::Unsat;
-  drainImports();
-  if (!rootOk()) return SatResult::Unsat;
+  if (unsatAtTopLevel_) return SatResult::Unsat;
+  if (propagate() != kNoReason) {
+    unsatAtTopLevel_ = true;
+    return SatResult::Unsat;
+  }
   maybeInprocess(assumptions);
   if (unsatAtTopLevel_) return SatResult::Unsat;
 
@@ -876,11 +839,6 @@ SatResult SatSolver::solve(std::span<const Lit> assumptions) {
       // Glue of the fresh learnt (levels are still assigned here).
       const uint32_t lbd = computeLbd(learnt);
       recordLbd(lbd);
-      if (exportFn_ && learnt.size() <= kShareMaxSize &&
-          (learnt.size() == 1 || lbd <= cfg_.shareLbdMax)) {
-        exportFn_(learnt, lbd);
-        ++stats_.exportedClauses;
-      }
       // Chronological backtracking: when the backjump would discard many
       // levels of (often still useful) assignments, step back one level
       // instead. The asserting literal is enqueued there with its reason;
@@ -938,8 +896,6 @@ SatResult SatSolver::solve(std::span<const Lit> assumptions) {
         conflictsAtRestart = 0;
         restartBudget = restartBase * luby(stats_.restarts);
         backtrack(0);
-        drainImports();
-        if (unsatAtTopLevel_) return done(SatResult::Unsat);
       }
     } else {
       // Re-establish the assumptions as pseudo-decisions at the root

@@ -24,33 +24,28 @@
 #include <vector>
 
 #include "smt/mini/sat_types.h"
-#include "support/rng.h"
 
 namespace pugpara::smt::mini {
 
 enum class SatResult { Sat, Unsat, Aborted };
 
 /// Per-solver tuning knobs. Every technique is individually toggleable so
-/// the ablation bench and the fuzz suite can cross-check each one; the seed
-/// fields diversify portfolio clones racing on the same CNF.
+/// the ablation bench and the fuzz suite can cross-check each one; the fuzz
+/// suite also shortens restartBase and chronoDistance so tiny CNFs reach
+/// restarts and chronological backtracking.
 struct SatConfig {
   bool lbdReduce = true;    // LBD-driven learnt DB reduction (else activity)
   bool chrono = true;       // chronological backtracking for shallow conflicts
   bool inprocess = true;    // root-level subsumption + variable elimination
   uint32_t glueLbd = 2;     // learnts with lbd <= this are never deleted
   uint32_t chronoDistance = 64;  // min backjump distance to go chronological
-  uint32_t shareLbdMax = 4;      // export learnts with lbd <= this
   uint64_t restartBase = 64;     // Luby restart unit (in conflicts)
-  uint64_t seed = 0;             // PRNG seed (random decisions, portfolio)
-  double randomFreq = 0.0;       // fraction of decisions made at random
-  bool initialPhase = false;     // default saved phase for fresh variables
 };
 
 class SatSolver {
  public:
   SatSolver() = default;
-  explicit SatSolver(const SatConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {}
-  [[nodiscard]] const SatConfig& config() const { return cfg_; }
+  explicit SatSolver(const SatConfig& cfg) : cfg_(cfg) {}
 
   /// Creates a fresh variable and returns it.
   Var newVar();
@@ -77,7 +72,7 @@ class SatSolver {
   /// budgets via the callback.
   void setConflictBudget(uint64_t conflicts) { conflictBudget_ = conflicts; }
   /// Optional periodic callback (every ~2048 conflicts); return false to
-  /// abort (wall-clock timeouts, portfolio losers).
+  /// abort (wall-clock timeouts, requestStop()).
   void setInterrupt(std::function<bool()> keepGoing) {
     keepGoing_ = std::move(keepGoing);
   }
@@ -96,32 +91,6 @@ class SatSolver {
   /// per-variable cost and the reported external bytes. O(#clauses) — the
   /// callers amortize it (see memNextCheckAt_).
   [[nodiscard]] uint64_t approxBytes() const;
-
-  /// Portfolio clause sharing. Export is invoked on every learnt clause
-  /// with lbd <= config().shareLbdMax; import is drained at solve() entry
-  /// and at every restart — it should fill `lits` and return true, or
-  /// return false when no clause is pending. Imported clauses are added at
-  /// the root as learnts (they must be implied by the clause set, which
-  /// holds for learnts shared between solvers working on the same CNF even
-  /// under assumptions: assumption literals are decisions, so they are
-  /// never resolved away and end up negated inside the learnt).
-  void setClauseExport(std::function<void(const std::vector<Lit>&, uint32_t)> f) {
-    exportFn_ = std::move(f);
-  }
-  void setClauseImport(std::function<bool(std::vector<Lit>&)> f) {
-    importFn_ = std::move(f);
-  }
-
-  /// Portfolio CNF mirroring: every newVar()/addClause()/setFrozen() on
-  /// this solver is replayed into `clone` (same variable numbering), so N
-  /// clones built behind one encoder race on the same CNF. Clauses are
-  /// forwarded pre-simplification — each clone simplifies against its own
-  /// root state. Shared learnts travel through the import hook instead and
-  /// are NOT mirrored.
-  void addClone(SatSolver* clone) { clones_.push_back(clone); }
-  /// Copies another solver's Sat model snapshot (the portfolio winner's)
-  /// so modelValue() on this solver answers from the winning run.
-  void adoptModelFrom(const SatSolver& winner) { model_ = winner.model_; }
 
   /// Decides the clause set under `assumptions` (may be empty). Assumptions
   /// constrain only this call; everything learned persists. Unsat means
@@ -159,9 +128,6 @@ class SatSolver {
     uint64_t strengthened = 0;   // literals removed by self-subsumption
     uint64_t eliminatedVars = 0;
     uint64_t restoredVars = 0;
-    // Portfolio clause sharing.
-    uint64_t exportedClauses = 0;
-    uint64_t importedClauses = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -204,12 +170,10 @@ class SatSolver {
   void attach(ClauseRef cr);
   [[nodiscard]] static uint64_t luby(uint64_t i);
 
-  // Root-level clause addition shared by addClause, clause restoration and
-  // clause import; enqueues units directly (the solver is at level 0) and
-  // restores eliminated variables the clause mentions. Never mirrors into
-  // clones.
-  bool addClauseRoot(std::vector<Lit> lits, bool learnt, uint32_t lbd);
-  void drainImports();
+  // Root-level clause addition shared by addClause and clause
+  // restoration; enqueues units directly (the solver is at level 0) and
+  // restores eliminated variables the clause mentions.
+  bool addClauseRoot(std::vector<Lit> lits);
 
   // Inprocessing (all run at decision level 0 with a fully propagated
   // trail; watches are rebuilt from scratch afterwards).
@@ -273,13 +237,6 @@ class SatSolver {
   std::vector<Var> elimOrder_;  // elimination order (for model extension)
   std::vector<Lit> elimUnits_;  // unit resolvents pending application
   size_t inprocessNextAt_ = 1;  // run when clauses_.size() reaches this
-
-  // Portfolio plumbing.
-  std::vector<SatSolver*> clones_;
-  std::function<void(const std::vector<Lit>&, uint32_t)> exportFn_;
-  std::function<bool(std::vector<Lit>&)> importFn_;
-
-  SplitMix64 rng_{0};
 
   // Scratch for analyze() / computeLbd().
   std::vector<uint8_t> seen_;

@@ -1,8 +1,7 @@
 // Process-wide MiniSMT counters. Each MiniSolver aggregates its SAT
-// solvers' statistics (primary plus portfolio clones) and its rewriter's
-// work here when it is destroyed; the CLI --json block and the ablation
-// bench read a snapshot. Atomic because engine worker threads destroy
-// solvers concurrently.
+// solver's statistics and its rewriter's work here when it is destroyed;
+// the CLI --json block and the ablation bench read a snapshot. Atomic
+// because engine worker threads destroy solvers concurrently.
 #pragma once
 
 #include <atomic>
@@ -27,11 +26,7 @@ struct MiniGlobalStats {
   std::atomic<uint64_t> strengthened{0};
   std::atomic<uint64_t> eliminatedVars{0};
   std::atomic<uint64_t> restoredVars{0};
-  std::atomic<uint64_t> exportedClauses{0};
-  std::atomic<uint64_t> importedClauses{0};
-  std::atomic<uint64_t> rewrites{0};        // word-level rewriter hits
-  std::atomic<uint64_t> portfolioRaces{0};  // seed-portfolio checkAssuming calls
-  std::atomic<uint64_t> winnerSeed{0};      // seed of the latest race winner
+  std::atomic<uint64_t> rewrites{0};  // word-level rewriter hits
 };
 
 inline MiniGlobalStats& miniGlobalStats() {
@@ -45,22 +40,19 @@ struct MiniStatsSnapshot {
   uint64_t lbdGlue, lbdMid, lbdLarge, learntsDeleted, chronoBacktracks;
   uint64_t inprocessRuns, subsumed, strengthened, eliminatedVars,
       restoredVars;
-  uint64_t exportedClauses, importedClauses, rewrites, portfolioRaces,
-      winnerSeed;
+  uint64_t rewrites;
 };
 
 inline MiniStatsSnapshot snapshotMiniStats() {
   const MiniGlobalStats& g = miniGlobalStats();
-  return {g.conflicts.load(),       g.decisions.load(),
-          g.propagations.load(),    g.restarts.load(),
-          g.learnts.load(),         g.lbdGlue.load(),
-          g.lbdMid.load(),          g.lbdLarge.load(),
-          g.learntsDeleted.load(),  g.chronoBacktracks.load(),
-          g.inprocessRuns.load(),   g.subsumed.load(),
-          g.strengthened.load(),    g.eliminatedVars.load(),
-          g.restoredVars.load(),    g.exportedClauses.load(),
-          g.importedClauses.load(), g.rewrites.load(),
-          g.portfolioRaces.load(),  g.winnerSeed.load()};
+  return {g.conflicts.load(),      g.decisions.load(),
+          g.propagations.load(),   g.restarts.load(),
+          g.learnts.load(),        g.lbdGlue.load(),
+          g.lbdMid.load(),         g.lbdLarge.load(),
+          g.learntsDeleted.load(), g.chronoBacktracks.load(),
+          g.inprocessRuns.load(),  g.subsumed.load(),
+          g.strengthened.load(),   g.eliminatedVars.load(),
+          g.restoredVars.load(),   g.rewrites.load()};
 }
 
 inline void resetMiniStats() {
@@ -80,11 +72,7 @@ inline void resetMiniStats() {
   g.strengthened = 0;
   g.eliminatedVars = 0;
   g.restoredVars = 0;
-  g.exportedClauses = 0;
-  g.importedClauses = 0;
   g.rewrites = 0;
-  g.portfolioRaces = 0;
-  g.winnerSeed = 0;
 }
 
 }  // namespace pugpara::smt::mini

@@ -22,8 +22,8 @@ enum class CheckResult { Sat, Unsat, Unknown };
 [[nodiscard]] const char* toString(CheckResult r);
 
 /// Why the last check() answered Unknown. Ordered by escalation severity so
-/// aggregators (portfolio, governor) can combine multiple solvers' reasons
-/// by taking the max: a resource breach outranks a mere timeout.
+/// a checker that combines the reasons of several queries can take the
+/// max: a resource breach outranks a mere timeout.
 enum class UnknownReason : uint8_t {
   None,         // last check was decided (or no check yet)
   Unsupported,  // formula outside the backend's fragment (quantifiers, ...)
@@ -89,9 +89,10 @@ class Solver {
 
   /// Cooperative cancellation: asks an in-flight check() to give up and
   /// return Unknown as soon as it can. The ONLY Solver method that may be
-  /// called from a different thread than the one running check(). Sticky —
-  /// a stopped solver stays stopped (portfolio losers are discarded, never
-  /// reused). Default: no-op for backends without an interrupt mechanism.
+  /// called from a different thread than the one running check() (the
+  /// engine's cancelAll() and its watchdog do). Sticky — a stopped solver
+  /// stays stopped. Default: no-op for backends without an interrupt
+  /// mechanism.
   virtual void requestStop() {}
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -100,23 +101,17 @@ class Solver {
 enum class Backend { Z3, Mini };
 
 /// MiniSMT tuning: every raw-speed technique individually toggleable (the
-/// ablation bench and the fuzz suite flip them one at a time), plus the
-/// in-process seed portfolio width. Ignored by the Z3 backend.
+/// ablation bench and the fuzz suite flip them one at a time). Ignored by
+/// the Z3 backend.
 struct MiniTuning {
   bool lbd = true;        // LBD-driven learnt-clause management
   bool chrono = true;     // chronological backtracking for shallow conflicts
   bool inprocess = true;  // root-level subsumption + variable elimination
   bool rewrite = true;    // word-level rewriter before bit-blasting
-  /// Number of SAT solver clones racing on the shared CNF with diverse
-  /// restart/branching/phase seeds and learnt-clause sharing; <= 1 = off.
-  unsigned portfolio = 1;
-  uint64_t seed = 0;  // base seed for clone diversification
 };
 
 /// Factory. Every solver instance is single-threaded and owns its backend
-/// state; create one per verification task. (The seed portfolio races its
-/// clones on internal threads, but the Solver object itself must still be
-/// driven from one thread.)
+/// state; create one per verification task.
 [[nodiscard]] std::unique_ptr<Solver> makeSolver(Backend backend);
 [[nodiscard]] std::unique_ptr<Solver> makeSolver(Backend backend,
                                                  const MiniTuning& tuning);

@@ -1,15 +1,16 @@
-// Tests of the concurrent verification engine, the batch CheckRequest API,
-// the solver-query cache and the portfolio solver. These are the tests the
-// ThreadSanitizer preset runs (scripts/tier1.sh) — keep every fixture name
-// matched by the Engine*/Portfolio*/QueryCache*/StructuralHash* filter.
+// Tests of the concurrent verification engine, the batch CheckRequest API
+// and the solver-query cache. These are the tests the ThreadSanitizer
+// preset runs (scripts/tier1.sh) — keep every fixture name matched by the
+// Engine*/QueryCache*/StructuralHash* filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "check/session.h"
 #include "engine/engine.h"
-#include "engine/portfolio_solver.h"
 #include "expr/context.h"
 #include "expr/hash.h"
 #include "kernels/corpus.h"
@@ -329,6 +330,48 @@ TEST(EngineTest, CancelAllDrainsBatchAsUnknown) {
   const std::vector<CheckResult> rs = eng.runAll(s, reqs);
   for (const auto& r : rs)
     EXPECT_NE(r.report.outcome, Outcome::BugFound) << r.label();
+  // vecAdd's postcondition VC never reached the solver; its Unknown says
+  // the engine interrupted it.
+  const check::Report& post = rs[2].report;
+  EXPECT_EQ(post.outcome, Outcome::Unknown) << post.str();
+  EXPECT_NE(post.detail.find("undecided (interrupted)"), std::string::npos)
+      << post.str();
+}
+
+TEST(EngineTest, CancelAllStopsInFlightSolve) {
+  // cancelAll() must interrupt a solver call already in flight, not only
+  // checks that have yet to start. The 16-bit transposeOpt race check
+  // holds either backend in one solver call for tens of seconds, so the
+  // cancel lands mid-solve; without the interrupt the check runs on until
+  // that call returns.
+  VerificationSession s(combinedSource({"transposeOpt"}, 16));
+  for (smt::Backend backend : {smt::Backend::Z3, smt::Backend::Mini}) {
+    SCOPED_TRACE(backend == smt::Backend::Z3 ? "z3" : "mini");
+    CheckRequest r;
+    r.kind = CheckKind::Races;
+    r.kernel = "transposeOpt";
+    r.options = fastOpts(16);
+    r.options.backend = backend;
+    r.options.solverTimeoutMs = 60000;
+    EngineOptions eo;
+    eo.maxRetries = 0;
+    eo.failover = false;
+    VerificationEngine eng(eo);
+
+    using Clock = std::chrono::steady_clock;
+    CheckResult res;
+    Clock::time_point finished;
+    std::thread worker([&] {
+      res = eng.run(s, r);
+      finished = Clock::now();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    const Clock::time_point cancelled = Clock::now();
+    eng.cancelAll();
+    worker.join();
+    EXPECT_LT(finished - cancelled, std::chrono::seconds(10));
+    EXPECT_EQ(res.report.outcome, Outcome::Unknown) << res.report.str();
+  }
 }
 
 TEST(EngineTest, SessionRunMatchesDeprecatedWrappers) {
@@ -432,6 +475,29 @@ TEST(EngineTest, FailoverRecoversFromPersistentBackendCrash) {
   EXPECT_TRUE(caveated) << res.report.str();
 }
 
+TEST(EngineTest, FailoverBackendGetsItsOwnRetry) {
+  // MiniSMT crashes on every attempt, so the retry goes to it and fails
+  // too; Z3's first attempt then times out once. The alternate backend
+  // gets its own retry and settles the check.
+  FaultGuard guard(
+      "solver.check.mini=always@crash,solver.check.z3=once@timeout");
+  VerificationSession s(combinedSource({"vecAdd"}, 8));
+  CheckRequest r;
+  r.kind = CheckKind::Races;
+  r.kernel = "vecAdd";
+  r.options = fastOpts();
+  r.options.backend = smt::Backend::Mini;
+  r.options.prefilter = false;
+  VerificationEngine eng;  // default maxRetries = 1
+  const CheckResult res = eng.run(s, r);
+  EXPECT_EQ(res.report.outcome, Outcome::Verified) << res.report.str();
+  EXPECT_EQ(res.report.failure.kind, check::FailureKind::None);
+  bool caveated = false;
+  for (const auto& c : res.report.caveats)
+    caveated = caveated || c.find("failover") != std::string::npos;
+  EXPECT_TRUE(caveated) << res.report.str();
+}
+
 TEST(EngineTest, ExhaustedLadderDegradesWithStructuredFailureInfo) {
   FaultGuard guard("solver.check.mini=always@timeout");
   VerificationSession s(combinedSource({"vecAdd"}, 8));
@@ -469,90 +535,6 @@ TEST(EngineTest, InjectedCrashWithoutLadderYieldsBackendCrashFailure) {
   const CheckResult res = eng.run(s, r);
   EXPECT_EQ(res.report.outcome, Outcome::Unknown) << res.report.str();
   EXPECT_EQ(res.report.failure.kind, check::FailureKind::BackendCrash);
-}
-
-// ---- Portfolio -------------------------------------------------------------
-
-TEST(PortfolioTest, AgreesWithEachBackendOnGroundTruth) {
-  // The smt_test fixtures, re-posed to the portfolio: the answer must match
-  // both backends wherever they are definitive.
-  Context ctx;
-  Expr x = ctx.var("x", Sort::bv(8));
-
-  auto sat = engine::makePortfolioSolver();
-  sat->add(ctx.mkUlt(x, ctx.bvVal(10, 8)));
-  EXPECT_EQ(sat->check(), smt::CheckResult::Sat);
-  auto m = sat->model();
-  EXPECT_LT(m->evalBv(x), 10u);
-
-  auto unsat = engine::makePortfolioSolver();
-  unsat->add(ctx.mkUlt(x, ctx.bvVal(10, 8)));
-  unsat->add(ctx.mkUlt(ctx.bvVal(20, 8), x));
-  EXPECT_EQ(unsat->check(), smt::CheckResult::Unsat);
-}
-
-TEST(PortfolioTest, ArrayTheoryUnsat) {
-  Context ctx;
-  Sort arr = Sort::array(16, 16);
-  Expr a = ctx.var("a", arr);
-  Expr i = ctx.var("i", Sort::bv(16));
-  Expr j = ctx.var("j", Sort::bv(16));
-  auto s = engine::makePortfolioSolver();
-  Expr st = ctx.mkStore(a, i, ctx.bvVal(5, 16));
-  s->add(ctx.mkEq(i, j));
-  s->add(ctx.mkNe(ctx.mkSelect(st, j), ctx.bvVal(5, 16)));
-  EXPECT_EQ(s->check(), smt::CheckResult::Unsat);
-}
-
-TEST(PortfolioTest, QuantifiedFormulaFallsThroughToZ3) {
-  // MiniSMT answers Unknown on quantifiers; the portfolio must wait for
-  // Z3's definitive answer instead of reporting the loser's Unknown.
-  Context ctx;
-  Expr t = ctx.var("t", Sort::bv(8));
-  Expr a = ctx.var("a", Sort::bv(8));
-  Expr f = ctx.mkMul(ctx.bvVal(2, 8), t);
-  Expr c = ctx.mkUlt(t, ctx.bvVal(4, 8));
-  std::vector<Expr> bound = {t};
-  Expr noWriter =
-      ctx.mkForall(bound, ctx.mkNot(ctx.mkAnd(ctx.mkEq(a, f), c)));
-  auto s = engine::makePortfolioSolver();
-  s->add(ctx.mkEq(a, ctx.bvVal(1, 8)));
-  s->add(ctx.mkNot(noWriter));
-  EXPECT_EQ(s->check(), smt::CheckResult::Unsat);
-}
-
-TEST(PortfolioTest, PushPopAndReuse) {
-  Context ctx;
-  Expr x = ctx.var("x", Sort::bv(8));
-  auto s = engine::makePortfolioSolver();
-  s->add(ctx.mkEq(x, ctx.bvVal(3, 8)));
-  s->push();
-  s->add(ctx.mkEq(x, ctx.bvVal(4, 8)));
-  EXPECT_EQ(s->check(), smt::CheckResult::Unsat);
-  s->pop();
-  EXPECT_EQ(s->check(), smt::CheckResult::Sat);
-}
-
-TEST(PortfolioTest, EnginePortfolioModeAgreesWithSingleBackends) {
-  VerificationSession s(combinedSource({"vecAdd", "racyHistogram"}, 8));
-  std::vector<CheckRequest> reqs;
-  for (const char* k : {"vecAdd", "racyHistogram"}) {
-    CheckRequest r;
-    r.kind = CheckKind::Races;
-    r.kernel = k;
-    r.options = fastOpts();
-    reqs.push_back(std::move(r));
-  }
-
-  EngineOptions plain;
-  VerificationEngine engPlain(plain);
-  const std::vector<Outcome> base = outcomes(engPlain.runAll(s, reqs));
-
-  EngineOptions port;
-  port.portfolio = true;
-  port.jobs = 2;
-  VerificationEngine engPort(port);
-  EXPECT_EQ(outcomes(engPort.runAll(s, reqs)), base);
 }
 
 }  // namespace

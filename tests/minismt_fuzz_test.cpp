@@ -1,12 +1,12 @@
 // Fuzz suite for the MiniSMT raw-speed techniques. Every technique (LBD
 // clause management, chronological backtracking, inprocessing, word-level
-// rewriting, seed portfolio) is toggled independently and the solver is
-// cross-checked against ground truth: exhaustive enumeration for random
-// CNF at the SAT core, Z3 for random bit-vector formulas at the Solver
-// interface. Incremental interleavings of addClause and
-// solve(assumptions) specifically target the inprocessing/incrementality
-// interaction — variable elimination must never lose a clause that a
-// later assumption still needs (the restore-on-mention path).
+// rewriting) is toggled independently and the solver is cross-checked
+// against ground truth: exhaustive enumeration for random CNF at the SAT
+// core, Z3 for random bit-vector formulas at the Solver interface.
+// Incremental interleavings of addClause and solve(assumptions)
+// specifically target the inprocessing/incrementality interaction —
+// variable elimination must never lose a clause that a later assumption
+// still needs (the restore-on-mention path).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -65,8 +65,9 @@ std::vector<Lit> randomClause(SplitMix64& rng, uint32_t nVars) {
   return c;
 }
 
-/// The toggle matrix: every technique off in turn, plus diversified
-/// configurations that stress the heap/phase/restart machinery.
+/// The toggle matrix: every technique off in turn, plus a configuration
+/// with short restart and chronological-backtracking thresholds, so tiny
+/// CNFs reach restarts and chronological backtracking.
 std::vector<SatConfig> configMatrix() {
   std::vector<SatConfig> out;
   SatConfig base;
@@ -83,13 +84,10 @@ std::vector<SatConfig> configMatrix() {
   SatConfig allOff = base;
   allOff.lbdReduce = allOff.chrono = allOff.inprocess = false;
   out.push_back(allOff);
-  SatConfig diverse = base;
-  diverse.initialPhase = true;
-  diverse.randomFreq = 0.05;
-  diverse.restartBase = 16;
-  diverse.chronoDistance = 4;
-  diverse.seed = 99;
-  out.push_back(diverse);
+  SatConfig eager = base;
+  eager.restartBase = 16;
+  eager.chronoDistance = 4;
+  out.push_back(eager);
   return out;
 }
 
@@ -225,7 +223,7 @@ struct TuningCase {
 };
 
 std::vector<TuningCase> tuningMatrix() {
-  MiniTuning on;  // defaults: everything on, portfolio off
+  MiniTuning on;  // defaults: everything on
   MiniTuning noLbd = on;
   noLbd.lbd = false;
   MiniTuning noChrono = on;
@@ -236,13 +234,9 @@ std::vector<TuningCase> tuningMatrix() {
   noRewrite.rewrite = false;
   MiniTuning allOff = on;
   allOff.lbd = allOff.chrono = allOff.inprocess = allOff.rewrite = false;
-  MiniTuning portfolio = on;
-  portfolio.portfolio = 3;
-  portfolio.seed = 42;
   return {{"on", on},           {"noLbd", noLbd},
           {"noChrono", noChrono}, {"noInproc", noInproc},
-          {"noRewrite", noRewrite}, {"allOff", allOff},
-          {"portfolio", portfolio}};
+          {"noRewrite", noRewrite}, {"allOff", allOff}};
 }
 
 class BvFuzz : public ::testing::TestWithParam<uint64_t> {};
@@ -346,65 +340,6 @@ TEST_P(BvFuzz, IncrementalCheckAssumingAgreesWithZ3) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BvFuzz, ::testing::Range<uint64_t>(0, 12));
-
-// ---- Seed portfolio ---------------------------------------------------------------
-
-TEST(MiniPortfolioTest, RaceAgreesOnPigeonholeAndProducesModels) {
-  // A hard UNSAT instance (every participant must agree) and a SAT
-  // instance with model adoption from whichever clone wins.
-  Context ctx;
-  MiniTuning t;
-  t.portfolio = 4;
-  t.seed = 7;
-
-  {
-    auto s = makeMiniSolver(t);
-    Sort bv = Sort::bv(16);
-    Expr x = ctx.var("x", bv), y = ctx.var("y", bv);
-    // x*y == 0x2e01 (= 59*199), x > 1, y > x: a search-heavy SAT query.
-    s->add(ctx.mkEq(ctx.mkMul(x, y), ctx.bvVal(0x2e01, 16)));
-    s->add(ctx.mkUlt(ctx.bvVal(1, 16), x));
-    s->add(ctx.mkUlt(x, y));
-    ASSERT_EQ(s->check(), CheckResult::Sat);
-    auto m = s->model();
-    const uint64_t vx = m->evalBv(x), vy = m->evalBv(y);
-    EXPECT_EQ((vx * vy) & 0xffff, 0x2e01u);
-    EXPECT_GT(vx, 1u);
-    EXPECT_LT(vx, vy);
-  }
-  {
-    auto s = makeMiniSolver(t);
-    Sort bv = Sort::bv(12);
-    Expr x = ctx.var("p", bv);
-    s->add(ctx.mkUlt(x, ctx.bvVal(5, 12)));
-    s->add(ctx.mkUlt(ctx.bvVal(10, 12), x));
-    EXPECT_EQ(s->check(), CheckResult::Unsat);
-  }
-}
-
-TEST(MiniPortfolioTest, IncrementalRaceStaysConsistent) {
-  Context ctx;
-  MiniTuning t;
-  t.portfolio = 3;
-  auto s = makeMiniSolver(t);
-  Sort bv = Sort::bv(10);
-  Expr x = ctx.var("x", bv), y = ctx.var("y", bv);
-  s->add(ctx.mkEq(ctx.mkAdd(x, y), ctx.bvVal(100, 10)));
-  EXPECT_EQ(s->check(), CheckResult::Sat);
-  s->push();
-  s->add(ctx.mkUlt(ctx.bvVal(200, 10), x));
-  s->add(ctx.mkUlt(ctx.bvVal(200, 10), y));
-  // x, y > 200 and x + y == 100 (mod 1024) still has solutions?
-  // x=450, y=674: 1124 mod 1024 = 100. Sat.
-  EXPECT_EQ(s->check(), CheckResult::Sat);
-  s->pop();
-  s->push();
-  s->add(ctx.mkEq(x, ctx.bvVal(0, 10)));
-  s->add(ctx.mkUlt(y, ctx.bvVal(100, 10)));  // then y must be 100: Unsat
-  EXPECT_EQ(s->check(), CheckResult::Unsat);
-  s->pop();
-  EXPECT_EQ(s->check(), CheckResult::Sat);
-}
 
 }  // namespace
 }  // namespace pugpara::smt

@@ -22,15 +22,11 @@
 //                 --no-chrono     disable chronological backtracking
 //                 --no-inprocess  disable subsumption/variable elimination
 //                 --no-rewrite    disable the word-level rewriter
-//                 --mini-seed N   base seed for portfolio diversification
 // engine flags:   --jobs N      worker threads for batches (0 = auto, default 1)
-//                 --portfolio   race Z3 vs MiniSMT per query, first answer wins
-//                 --mini-portfolio N  race N MiniSMT seed clones per query
-//                               (forces --backend mini; excludes --portfolio)
 //                 --json        machine-readable results on stdout
 //                 --deadline MS per-check wall-clock budget (overruns -> unknown)
 //                 --cache FILE  persistent solver-query cache (loaded+saved)
-//                 --retries N   containment-ladder retries per failed check
+//                 --retries N   containment-ladder retries per backend
 //                               (budget doubles each retry; default 1)
 //                 --no-failover do not fail over to the alternate backend
 //                 --inject SPEC deterministic chaos injection, e.g.
@@ -42,7 +38,7 @@
 //                 [--cache-dir DIR] [--cache-cap N] [--deadline MS]
 //                 [--method M] [--width N] [--backend B] [--timeout MS]
 //                 [--memory MB] [--retries N] [--no-failover] [--inject SPEC]
-//                 [--no-prefilter] [--portfolio] [--mini-portfolio N]
+//                 [--no-prefilter]
 //   pugpara submit (--socket PATH | --host H --port N) FILE
 //                 [--all] [--races K|--asserts K|--postcond K|--perf K|
 //                  --equiv A B] [--method M] [--width N] [--backend B]
@@ -95,17 +91,15 @@ void usage() {
                "       [--concretize name=value]... [--timeout MS] "
                "[--no-replay] [--no-prefilter]\n"
                "       [--no-lbd] [--no-chrono] [--no-inprocess] "
-               "[--no-rewrite] [--mini-seed N]\n"
-               "       [--jobs N] [--portfolio] [--mini-portfolio N] [--json] "
-               "[--deadline MS] [--cache FILE]\n"
+               "[--no-rewrite]\n"
+               "       [--jobs N] [--json] [--deadline MS] [--cache FILE]\n"
                "       [--memory MB] [--retries N] [--no-failover] "
                "[--inject SPEC]\n"
                "   or: pugpara serve [--socket PATH] [--port N] [--jobs N] "
                "[--queue N] [--cache-dir DIR]\n"
                "       [--cache-cap N] [--deadline MS] [--method M] "
                "[--width N] [--backend B]\n"
-               "       [--timeout MS] [--no-prefilter] [--portfolio] "
-               "[--mini-portfolio N]\n"
+               "       [--timeout MS] [--no-prefilter]\n"
                "   or: pugpara submit (--socket PATH|--host H --port N) "
                "[FILE] [check flags] [--json]\n"
                "       [--ping|--stats|--shutdown]\n"
@@ -232,11 +226,6 @@ int serveMain(int argc, char** argv) {
       if (!applyInject(argNext(argc, argv, i, "--inject"))) return 3;
     } else if (arg == "--no-prefilter") {
       sopts.defaults.prefilter = false;
-    } else if (arg == "--portfolio") {
-      sopts.portfolio = true;
-    } else if (arg == "--mini-portfolio") {
-      sopts.miniPortfolio =
-          static_cast<unsigned>(argNextNum(argc, argv, i, "--mini-portfolio"));
     } else {
       std::fprintf(stderr, "pugpara serve: unknown flag '%s'\n", arg.c_str());
       usage();
@@ -246,12 +235,6 @@ int serveMain(int argc, char** argv) {
   if (sopts.socketPath.empty() && sopts.tcpPort == 0) {
     std::fprintf(stderr,
                  "pugpara serve: need --socket PATH and/or --port N\n");
-    return 3;
-  }
-  if (sopts.portfolio && sopts.miniPortfolio > 1) {
-    std::fprintf(stderr,
-                 "pugpara serve: --portfolio and --mini-portfolio are "
-                 "mutually exclusive\n");
     return 3;
   }
 
@@ -663,14 +646,8 @@ int batchMain(int argc, char** argv) {
       opts.mini.inprocess = false;
     } else if (arg == "--no-rewrite") {
       opts.mini.rewrite = false;
-    } else if (arg == "--mini-seed") {
-      opts.mini.seed = nextNum("--mini-seed");
     } else if (arg == "--jobs") {
       eopts.jobs = static_cast<unsigned>(nextNum("--jobs"));
-    } else if (arg == "--portfolio") {
-      eopts.portfolio = true;
-    } else if (arg == "--mini-portfolio") {
-      eopts.miniPortfolio = static_cast<unsigned>(nextNum("--mini-portfolio"));
     } else if (arg == "--json") {
       jsonOut = true;
     } else if (arg == "--deadline") {
@@ -688,13 +665,6 @@ int batchMain(int argc, char** argv) {
       usage();
       return 3;
     }
-  }
-
-  if (eopts.portfolio && eopts.miniPortfolio > 1) {
-    std::fprintf(stderr,
-                 "pugpara: --portfolio and --mini-portfolio are mutually "
-                 "exclusive\n");
-    return 3;
   }
 
   try {
@@ -768,14 +738,12 @@ int batchMain(int argc, char** argv) {
         total.solverCalls += r.report.discharge.solverCalls;
       }
       std::printf(
-          "],\"engine\":{\"jobs\":%u,\"portfolio\":%s,\"miniPortfolio\":%u,"
-          "\"prefilter\":%s,"
+          "],\"engine\":{\"jobs\":%u,\"prefilter\":%s,"
           "\"cacheHits\":%llu,\"cacheMisses\":%llu,\"cacheInsertions\":%llu,"
           "\"cacheEvictions\":%llu,"
           "\"tier0Discharged\":%llu,\"slicedQueries\":%llu,"
           "\"fullSmtQueries\":%llu,\"solverCalls\":%llu},",
-          eopts.jobs, eopts.portfolio ? "true" : "false", eopts.miniPortfolio,
-          opts.prefilter ? "true" : "false",
+          eopts.jobs, opts.prefilter ? "true" : "false",
           static_cast<unsigned long long>(cs.hits),
           static_cast<unsigned long long>(cs.misses),
           static_cast<unsigned long long>(cs.insertions),
@@ -792,8 +760,7 @@ int batchMain(int argc, char** argv) {
           "\"learntsDeleted\":%llu,\"chronoBacktracks\":%llu,"
           "\"inprocessRuns\":%llu,\"subsumed\":%llu,\"strengthened\":%llu,"
           "\"eliminatedVars\":%llu,\"restoredVars\":%llu,"
-          "\"exportedClauses\":%llu,\"importedClauses\":%llu,"
-          "\"rewrites\":%llu,\"portfolioRaces\":%llu,\"winnerSeed\":%llu}}\n",
+          "\"rewrites\":%llu}}\n",
           static_cast<unsigned long long>(ms.conflicts),
           static_cast<unsigned long long>(ms.decisions),
           static_cast<unsigned long long>(ms.propagations),
@@ -809,11 +776,7 @@ int batchMain(int argc, char** argv) {
           static_cast<unsigned long long>(ms.strengthened),
           static_cast<unsigned long long>(ms.eliminatedVars),
           static_cast<unsigned long long>(ms.restoredVars),
-          static_cast<unsigned long long>(ms.exportedClauses),
-          static_cast<unsigned long long>(ms.importedClauses),
-          static_cast<unsigned long long>(ms.rewrites),
-          static_cast<unsigned long long>(ms.portfolioRaces),
-          static_cast<unsigned long long>(ms.winnerSeed));
+          static_cast<unsigned long long>(ms.rewrites));
     } else if (action == Action::Summary) {
       // Grouped per kernel, three properties per group (request order).
       for (size_t i = 0; i < results.size(); ++i) {
@@ -835,10 +798,9 @@ int batchMain(int argc, char** argv) {
     if (!jsonOut && (requests.size() > 1 || !cachePath.empty())) {
       const smt::QueryCache::Stats cs = engine.cache().stats();
       std::fprintf(stderr,
-                   "pugpara: engine: %zu checks, jobs=%u%s, cache: %llu "
+                   "pugpara: engine: %zu checks, jobs=%u, cache: %llu "
                    "hit(s), %llu miss(es)\n",
                    requests.size(), eopts.jobs,
-                   eopts.portfolio ? ", portfolio" : "",
                    static_cast<unsigned long long>(cs.hits),
                    static_cast<unsigned long long>(cs.misses));
     }
