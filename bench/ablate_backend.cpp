@@ -21,8 +21,12 @@ void row(const char* label, const std::string& src, const char* kernel,
     o.backend = backend;
     o.solverTimeoutMs = timeoutMs();
     o.replayCounterexamples = false;
-    check::Report r = equivalence ? s.equivalence(kernel, tgt, o)
-                                  : s.postconditions(kernel, o);
+    check::Report r =
+        equivalence
+            ? s.run({check::CheckKind::Equivalence, kernel, tgt, o, {}, 0})
+                  .report
+            : s.run({check::CheckKind::Postconditions, kernel, "", o, {}, 0})
+                  .report;
     cells.push_back(cell(r) + " (" + check::toString(r.outcome) + ")");
   }
   printRow(label, cells);

@@ -21,7 +21,8 @@ int main() {
     o.concretize = {{"bdim.x", 4}, {"bdim.y", 4}, {"bdim.z", 1},
                     {"width", 8},  {"height", 8}};
     o.replayCounterexamples = false;
-    check::Report r = s.equivalence("transposeNaive", "transposeOpt", o);
+    check::Report r = s.run({check::CheckKind::Equivalence, "transposeNaive",
+                             "transposeOpt", o, {}, 0}).report;
     std::printf("%8u %12s %10s\n", width, check::toString(r.outcome),
                 cell(r).c_str());
   }
@@ -37,7 +38,8 @@ int main() {
     o.width = width;
     o.solverTimeoutMs = timeoutMs();
     o.replayCounterexamples = false;
-    check::Report r = s.equivalence("reduceMod", "reduceStrided", o);
+    check::Report r = s.run({check::CheckKind::Equivalence, "reduceMod",
+                             "reduceStrided", o, {}, 0}).report;
     std::printf("%8u %12s %10s\n", width, check::toString(r.outcome),
                 cell(r).c_str());
   }

@@ -21,7 +21,8 @@ void runRow(const char* label, const std::string& src, const char* kernel,
   o.frameMode = mode;
   o.width = 8;
   o.solverTimeoutMs = timeoutMs();
-  check::Report r = s.postconditions(kernel, o);
+  check::Report r = s.run({check::CheckKind::Postconditions, kernel, "", o,
+                           {}, 0}).report;
   std::printf("  %-16s %-13s %8s   qe=%zu forall=%zu uniform=%zu inst=%zu\n",
               para::toString(mode), check::toString(r.outcome),
               cell(r).c_str(), r.stats.qeCerts, r.stats.forallCerts,

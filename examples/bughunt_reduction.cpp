@@ -34,7 +34,9 @@ int main() {
     prog->kernels.push_back(std::move(m.kernel));
     check::VerificationSession session(std::move(prog));
 
-    check::Report r = session.equivalence("reduceStrided", mutantName, opts);
+    check::Report r = session.run({check::CheckKind::Equivalence,
+                                   "reduceStrided", mutantName, opts, {}, 0})
+                          .report;
     const char* verdict = "?";
     switch (r.outcome) {
       case check::Outcome::BugFound:

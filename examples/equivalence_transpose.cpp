@@ -24,8 +24,9 @@ int main() {
   opts.concretize = {{"bdim.x", 4}, {"bdim.y", 4}, {"bdim.z", 1}};
 
   std::printf("== transposeNaive vs transposeOpt (+C, any grid) ==\n");
-  check::Report ok = session.equivalence("transposeNaive", "transposeOpt",
-                                         opts);
+  check::Report ok = session.run({check::CheckKind::Equivalence,
+                                  "transposeNaive", "transposeOpt", opts,
+                                  {}, 0}).report;
   std::printf("%s\n\n", ok.str().c_str());
 
   // 2. Drop the square-block assumption: PUGpara finds a non-square
@@ -36,8 +37,9 @@ int main() {
   hunt.width = kWidth;
 
   std::printf("== transposeNaive vs transposeOptNoSquare (bug hunt) ==\n");
-  check::Report bug = session.equivalence("transposeNaive",
-                                          "transposeOptNoSquare", hunt);
+  check::Report bug = session.run({check::CheckKind::Equivalence,
+                                   "transposeNaive", "transposeOptNoSquare",
+                                   hunt, {}, 0}).report;
   std::printf("%s\n\n", bug.str().c_str());
   if (!bug.counterexamples.empty()) {
     const auto& cex = bug.counterexamples[0];
@@ -57,8 +59,9 @@ int main() {
   std::printf("== non-parameterized cross-check (64 threads) ==\n");
   check::VerificationSession session16(kernels::combinedSource(
       {"transposeNaive", "transposeOpt"}, 16));
-  check::Report np = session16.equivalence("transposeNaive", "transposeOpt",
-                                           fixed);
+  check::Report np = session16.run({check::CheckKind::Equivalence,
+                                    "transposeNaive", "transposeOpt", fixed,
+                                    {}, 0}).report;
   std::printf("%s\n", np.str().c_str());
 
   return ok.outcome == check::Outcome::Verified &&

@@ -38,15 +38,18 @@ void vecAddBroken(int *c, int *a, int *b, int n) {
   opts.width = 8;  // bit-width of the symbolic model
 
   std::printf("== checking vecAdd (parameterized: any #threads) ==\n");
-  check::Report good = session.postconditions("vecAdd", opts);
+  check::Report good = session.run({check::CheckKind::Postconditions, "vecAdd",
+                                    "", opts, {}, 0}).report;
   std::printf("%s\n\n", good.str().c_str());
 
   std::printf("== checking vecAddBroken ==\n");
-  check::Report bad = session.postconditions("vecAddBroken", opts);
+  check::Report bad = session.run({check::CheckKind::Postconditions,
+                                   "vecAddBroken", "", opts, {}, 0}).report;
   std::printf("%s\n\n", bad.str().c_str());
 
   std::printf("== and their equivalence ==\n");
-  check::Report eq = session.equivalence("vecAdd", "vecAddBroken", opts);
+  check::Report eq = session.run({check::CheckKind::Equivalence, "vecAdd",
+                                  "vecAddBroken", opts, {}, 0}).report;
   std::printf("%s\n", eq.str().c_str());
 
   return good.outcome == check::Outcome::Verified &&

@@ -51,8 +51,10 @@ void dynamicCheck(const char* name, uint32_t width) {
 void symbolicCheck(const char* name, uint32_t width,
                    const check::CheckOptions& opts) {
   check::VerificationSession session(kernels::combinedSource({name}, width));
-  check::Report races = session.races(name, opts);
-  check::Report perf = session.performance(name, opts);
+  check::Report races = session.run({check::CheckKind::Races, name, "", opts,
+                                     {}, 0}).report;
+  check::Report perf = session.run({check::CheckKind::Performance, name, "",
+                                    opts, {}, 0}).report;
   std::printf("  symbolic (any #threads): races: %s | perf: %s\n",
               check::toString(races.outcome), perf.detail.c_str());
 }

@@ -16,26 +16,13 @@ using para::ConditionalAssignment;
 class PerfChecker {
  public:
   PerfChecker(const lang::Kernel& kernel, const CheckOptions& options,
-              const PerfOptions& perf)
-      : kernel_(kernel), options_(options), perf_(perf) {}
+              const PerfOptions& perf, Report& report)
+      : kernel_(kernel), options_(options), perf_(perf), report_(report) {}
 
-  Report run() {
-    WallTimer total;
-    report_.method = "parameterized-perf";
+  void run() {
     const encode::EncodeOptions eo = options_.encodeOptions();
-    try {
-      cfg_ = para::SymbolicConfig::create(ctx_, eo);
-      sum_ = para::extractSummary(ctx_, kernel_, cfg_, eo, "k");
-    } catch (const UnsupportedError& e) {
-      report_.outcome = Outcome::Unsupported;
-      report_.unsupportedReason = e.reason();
-      report_.detail = e.what();
-      return report_;
-    } catch (const PugError& e) {
-      report_.outcome = Outcome::Unsupported;
-      report_.detail = e.what();
-      return report_;
-    }
+    cfg_ = para::SymbolicConfig::create(ctx_, eo);
+    sum_ = para::extractSummary(ctx_, kernel_, cfg_, eo, "k");
 
     for (const para::Segment& seg : sum_.segments) {
       if (seg.loop.has_value()) {
@@ -50,13 +37,19 @@ class PerfChecker {
       }
     }
 
-    if (report_.outcome != Outcome::BugFound) {
-      report_.outcome = Outcome::Verified;
-      report_.detail = "no bank conflicts or uncoalesced accesses, for any "
-                       "number of threads";
+    if (report_.outcome == Outcome::BugFound) return;
+    if (undecided_ > 0) {
+      // An undecided query is a hole in the claim, never "no conflict".
+      report_.outcome = Outcome::Unknown;
+      report_.detail = std::to_string(undecided_) + " quer" +
+                       (undecided_ == 1 ? "y" : "ies") +
+                       " undecided (timeout/fragment); absence of bank "
+                       "conflicts and uncoalesced accesses not established";
+      return;
     }
-    report_.totalSeconds = total.seconds();
-    return report_;
+    report_.outcome = Outcome::Verified;
+    report_.detail = "no bank conflicts or uncoalesced accesses, for any "
+                     "number of threads";
   }
 
  private:
@@ -87,14 +80,17 @@ class PerfChecker {
     return m;
   }
 
-  bool satisfiable(Expr constraint, double* seconds) {
+  /// Sat means a bug; an Unknown answer is counted, so it can only leave
+  /// the verdict open.
+  bool satisfiable(Expr constraint) {
     auto solver = options_.makeSolver();
     solver->setTimeoutMs(options_.solverTimeoutMs);
     solver->add(sum_.assumptions);
     solver->add(constraint);
     WallTimer t;
     smt::CheckResult r = solver->check();
-    *seconds = t.seconds();
+    report_.solveSeconds += t.seconds();
+    if (r == smt::CheckResult::Unknown) ++undecided_;
     return r == smt::CheckResult::Sat;
   }
 
@@ -135,11 +131,9 @@ class PerfChecker {
                                               ctx_.mkURem(ab, banks)),
                                     ctx_.mkNe(aa, ab)))));
       conflict = ctx_.mkAnd(conflict, active);
-      double sec = 0;
-      if (satisfiable(conflict, &sec))
+      if (satisfiable(conflict))
         record("bank conflict on '" + acc.array->name + "' at " +
                acc.loc.str());
-      report_.solveSeconds += sec;
     }
 
     // Coalescing: adjacent threads of a half-warp must touch adjacent
@@ -162,11 +156,9 @@ class PerfChecker {
                      ctx_.mkAnd(ctx_.mkAnd(adjacent, sameHalfWarp(a, b)),
                                 ctx_.mkNe(ab, ctx_.mkAdd(aa, one)))));
       bad = ctx_.mkAnd(bad, active);
-      double sec = 0;
-      if (satisfiable(bad, &sec))
+      if (satisfiable(bad))
         record("non-coalesced access to '" + acc.array->name + "' at " +
                acc.loc.str());
-      report_.solveSeconds += sec;
     }
   }
 
@@ -182,7 +174,8 @@ class PerfChecker {
   expr::Context ctx_;
   para::SymbolicConfig cfg_;
   para::KernelSummary sum_;
-  Report report_;
+  Report& report_;
+  size_t undecided_ = 0;
 };
 
 }  // namespace
@@ -190,7 +183,9 @@ class PerfChecker {
 Report checkPerformance(const lang::Kernel& kernel,
                         const CheckOptions& options,
                         const PerfOptions& perf) {
-  return PerfChecker(kernel, options, perf).run();
+  return runOrReject("parameterized-perf", [&](Report& report) {
+    PerfChecker(kernel, options, perf, report).run();
+  });
 }
 
 }  // namespace pugpara::check

@@ -19,26 +19,14 @@ using para::ConditionalAssignment;
 
 class RaceChecker {
  public:
-  RaceChecker(const lang::Kernel& kernel, const CheckOptions& options)
-      : kernel_(kernel), options_(options) {}
+  RaceChecker(const lang::Kernel& kernel, const CheckOptions& options,
+              Report& report)
+      : kernel_(kernel), options_(options), report_(report) {}
 
-  Report run() {
-    WallTimer total;
-    report_.method = "parameterized-race";
+  void run() {
     const encode::EncodeOptions eo = options_.encodeOptions();
-    try {
-      cfg_ = para::SymbolicConfig::create(ctx_, eo);
-      sum_ = para::extractSummary(ctx_, kernel_, cfg_, eo, "k");
-    } catch (const UnsupportedError& e) {
-      report_.outcome = Outcome::Unsupported;
-      report_.unsupportedReason = e.reason();
-      report_.detail = e.what();
-      return report_;
-    } catch (const PugError& e) {
-      report_.outcome = Outcome::Unsupported;
-      report_.detail = e.what();
-      return report_;
-    }
+    cfg_ = para::SymbolicConfig::create(ctx_, eo);
+    sum_ = para::extractSummary(ctx_, kernel_, cfg_, eo, "k");
 
     for (const para::Segment& seg : sum_.segments) {
       if (seg.loop.has_value()) {
@@ -75,8 +63,6 @@ class RaceChecker {
                                    " benign same-value overlap(s)";
       }
     }
-    report_.totalSeconds = total.seconds();
-    return report_;
   }
 
  private:
@@ -318,7 +304,7 @@ class RaceChecker {
   expr::Context ctx_;
   para::SymbolicConfig cfg_;
   para::KernelSummary sum_;
-  Report report_;
+  Report& report_;
   size_t benignOverlaps_ = 0;
   size_t unknownQueries_ = 0;
 
@@ -338,7 +324,9 @@ class RaceChecker {
 }  // namespace
 
 Report checkRaces(const lang::Kernel& kernel, const CheckOptions& options) {
-  return RaceChecker(kernel, options).run();
+  return runOrReject("parameterized-race", [&](Report& report) {
+    RaceChecker(kernel, options, report).run();
+  });
 }
 
 }  // namespace pugpara::check

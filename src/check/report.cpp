@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "check/options.h"
+#include "support/diagnostics.h"
 #include "support/json.h"
 
 namespace pugpara::check {
@@ -127,6 +128,21 @@ std::string Report::str() const {
   for (const auto& c : caveats) os << "\n  caveat: " << c;
   for (const auto& cx : counterexamples) os << "\n  cex: " << cx.str();
   return os.str();
+}
+
+Report runOrReject(std::string method,
+                   const std::function<void(Report&)>& check) {
+  Report report;
+  report.method = std::move(method);
+  try {
+    check(report);
+  } catch (const PugError& e) {
+    report.outcome = Outcome::Unsupported;
+    report.detail = e.what();
+    if (const auto* u = dynamic_cast<const UnsupportedError*>(&e))
+      report.unsupportedReason = u->reason();
+  }
+  return report;
 }
 
 }  // namespace pugpara::check

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,5 +99,12 @@ struct Report {
   /// and counterexamples as one JSON object (the CLI's --json format).
   [[nodiscard]] std::string json() const;
 };
+
+/// The one front-end rejection: runs `check` on a report labelled
+/// `method`. A PugError it throws (a kernel outside the method's fragment,
+/// an unknown kernel name) turns the report Unsupported, with the reason
+/// slug an UnsupportedError carries.
+[[nodiscard]] Report runOrReject(std::string method,
+                                 const std::function<void(Report&)>& check);
 
 }  // namespace pugpara::check

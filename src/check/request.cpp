@@ -5,6 +5,7 @@
 #include "check/race_checker.h"
 #include "support/diagnostics.h"
 #include "support/json.h"
+#include "support/timer.h"
 
 namespace pugpara::check {
 
@@ -61,51 +62,39 @@ std::string CheckResult::json() const {
 
 CheckResult runCheck(const lang::Program& program,
                      const CheckRequest& request) {
+  WallTimer total;
   CheckResult result;
   result.kind = request.kind;
   result.kernel = request.kernel;
   result.kernel2 = request.kernel2;
 
-  auto find = [&](const std::string& name) -> const lang::Kernel* {
-    return program.findKernel(name);
+  auto find = [&](const std::string& name) -> const lang::Kernel& {
+    const lang::Kernel* k = program.findKernel(name);
+    if (k == nullptr) throw PugError("no kernel named '" + name + "'");
+    return *k;
   };
 
-  try {
-    const lang::Kernel* k1 = find(request.kernel);
-    if (k1 == nullptr)
-      throw PugError("no kernel named '" + request.kernel + "'");
+  result.report = runOrReject("none", [&](Report& report) {
+    const lang::Kernel& k1 = find(request.kernel);
     switch (request.kind) {
-      case CheckKind::Equivalence: {
-        const lang::Kernel* k2 = find(request.kernel2);
-        if (k2 == nullptr)
-          throw PugError("no kernel named '" + request.kernel2 + "'");
-        result.report = checkEquivalence(*k1, *k2, request.options);
+      case CheckKind::Equivalence:
+        report = checkEquivalence(k1, find(request.kernel2), request.options);
         break;
-      }
       case CheckKind::Postconditions:
-        result.report = checkPostconditions(*k1, request.options);
+        report = checkPostconditions(k1, request.options);
         break;
       case CheckKind::Asserts:
-        result.report = checkAsserts(*k1, request.options);
+        report = checkAsserts(k1, request.options);
         break;
       case CheckKind::Races:
-        result.report = checkRaces(*k1, request.options);
+        report = checkRaces(k1, request.options);
         break;
       case CheckKind::Performance:
-        result.report =
-            checkPerformance(*k1, request.options, request.perf);
+        report = checkPerformance(k1, request.options, request.perf);
         break;
     }
-  } catch (const UnsupportedError& e) {
-    result.report.outcome = Outcome::Unsupported;
-    result.report.method = "none";
-    result.report.unsupportedReason = e.reason();
-    result.report.detail = e.what();
-  } catch (const PugError& e) {
-    result.report.outcome = Outcome::Unsupported;
-    result.report.method = "none";
-    result.report.detail = e.what();
-  }
+  });
+  result.report.totalSeconds = total.seconds();
   return result;
 }
 

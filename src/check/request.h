@@ -1,13 +1,14 @@
 // The uniform check API: one request/result pair for every property the
 // tool can verify.
 //
-// CheckRequest subsumes the five historical VerificationSession entry points
-// (equivalence / postconditions / asserts / races / performance). A request
+// A CheckRequest names the check kind (equivalence / postconditions /
+// asserts / races / performance), the kernels and the options. A request
 // is a plain value — cheap to copy, trivially batched — and is consumed in
 // two ways:
-//   * one at a time:   session.run(request)
+//   * one at a time:   session.run(request).report
 //   * in batches:      engine.runAll(session, requests)   (src/engine)
-// The old named methods survive as thin deprecated wrappers over run().
+// Every check goes through runCheck(), which times it and turns a
+// front-end rejection into Outcome::Unsupported.
 #pragma once
 
 #include <cstdint>

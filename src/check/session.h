@@ -1,8 +1,9 @@
 // VerificationSession: the library's convenience facade. Owns the parsed
-// program and executes CheckRequests against it. This is the API the
-// examples, benches and most downstream users go through; batches of
-// requests go through engine::VerificationEngine instead, which runs them
-// on a worker pool with a shared solver-query cache.
+// program and executes CheckRequests against it through run(), the one
+// entry point for every check kind. This is the API the examples, benches
+// and most downstream users go through; batches of requests go through
+// engine::VerificationEngine instead, which runs them on a worker pool
+// with a shared solver-query cache.
 #pragma once
 
 #include <memory>
@@ -40,39 +41,6 @@ class VerificationSession {
   /// check builds its own expression context and solver).
   [[nodiscard]] CheckResult run(const CheckRequest& request) const {
     return runCheck(*program_, request);
-  }
-
-  // ---- Deprecated named entry points ---------------------------------------
-  // Thin wrappers over run(), kept so existing callers compile unchanged.
-  // New code should build a CheckRequest (and batch them via the engine).
-
-  /// \deprecated Use run() with CheckKind::Equivalence.
-  [[nodiscard]] Report equivalence(const std::string& source,
-                                   const std::string& target,
-                                   const CheckOptions& options = {}) const {
-    return run({CheckKind::Equivalence, source, target, options, {}, 0})
-        .report;
-  }
-  /// \deprecated Use run() with CheckKind::Postconditions.
-  [[nodiscard]] Report postconditions(const std::string& name,
-                                      const CheckOptions& options = {}) const {
-    return run({CheckKind::Postconditions, name, "", options, {}, 0}).report;
-  }
-  /// \deprecated Use run() with CheckKind::Asserts.
-  [[nodiscard]] Report asserts(const std::string& name,
-                               const CheckOptions& options = {}) const {
-    return run({CheckKind::Asserts, name, "", options, {}, 0}).report;
-  }
-  /// \deprecated Use run() with CheckKind::Races.
-  [[nodiscard]] Report races(const std::string& name,
-                             const CheckOptions& options = {}) const {
-    return run({CheckKind::Races, name, "", options, {}, 0}).report;
-  }
-  /// \deprecated Use run() with CheckKind::Performance.
-  [[nodiscard]] Report performance(const std::string& name,
-                                   const CheckOptions& options = {},
-                                   const PerfOptions& perf = {}) const {
-    return run({CheckKind::Performance, name, "", options, perf, 0}).report;
   }
 
  private:

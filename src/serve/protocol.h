@@ -94,7 +94,7 @@ bool parseKind(const std::string& kind, check::CheckKind* out);
 /// canonicalCheckString. Bump it whenever verdict semantics change (integer
 /// width rules, out-of-bounds handling, what replay accepts, ...), so that
 /// results persisted by an older build are never served again.
-inline constexpr uint32_t kSemanticsVersion = 1;
+inline constexpr uint32_t kSemanticsVersion = 2;
 
 /// Canonical content-addressed identity of a check: kSemanticsVersion, the
 /// source text and every option that can change the outcome. Deliberately

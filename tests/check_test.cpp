@@ -25,7 +25,8 @@ TEST(EquivCheckerTest, TransposePlusCVerifiedParametrically) {
       combinedSource({"transposeNaive", "transposeOpt"}, 8));
   CheckOptions o = paramOpts(8);
   o.concretize = {{"bdim.x", 4}, {"bdim.y", 4}, {"bdim.z", 1}};
-  Report r = s.equivalence("transposeNaive", "transposeOpt", o);
+  Report r = s.run({CheckKind::Equivalence, "transposeNaive", "transposeOpt", o,
+                    {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
@@ -36,7 +37,8 @@ TEST(EquivCheckerTest, NonSquareHiddenAssumptionRevealed) {
       combinedSource({"transposeNaive", "transposeOptNoSquare"}, 8));
   CheckOptions o = paramOpts(8);
   o.method = Method::ParameterizedBugHunt;
-  Report r = s.equivalence("transposeNaive", "transposeOptNoSquare", o);
+  Report r = s.run({CheckKind::Equivalence, "transposeNaive",
+                    "transposeOptNoSquare", o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
   ASSERT_FALSE(r.counterexamples.empty());
   EXPECT_TRUE(r.counterexamples[0].replayConfirmed) << r.str();
@@ -46,7 +48,8 @@ TEST(EquivCheckerTest, NonSquareHiddenAssumptionRevealed) {
 
 TEST(EquivCheckerTest, ReductionLoopAlignedVerified) {
   VerificationSession s(combinedSource({"reduceMod", "reduceStrided"}, 8));
-  Report r = s.equivalence("reduceMod", "reduceStrided", paramOpts(8));
+  Report r = s.run({CheckKind::Equivalence, "reduceMod", "reduceStrided",
+                    paramOpts(8), {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
@@ -57,13 +60,15 @@ TEST(EquivCheckerTest, SequentialReductionNeedsNonParam) {
   VerificationSession s(
       combinedSource({"reduceMod", "reduceSequential"}, 12));
   CheckOptions o = paramOpts(12);
-  Report rp = s.equivalence("reduceMod", "reduceSequential", o);
+  Report rp = s.run({CheckKind::Equivalence, "reduceMod", "reduceSequential", o,
+                     {}, 0}).report;
   EXPECT_NE(rp.outcome, Outcome::Verified);
   EXPECT_NE(rp.outcome, Outcome::BugFound) << rp.str();
 
   o.method = Method::NonParameterized;
   o.grid = encode::GridConfig{1, 1, 8, 1, 1};
-  Report rn = s.equivalence("reduceMod", "reduceSequential", o);
+  Report rn = s.run({CheckKind::Equivalence, "reduceMod", "reduceSequential", o,
+                     {}, 0}).report;
   EXPECT_EQ(rn.outcome, Outcome::Verified) << rn.str();
 }
 
@@ -79,8 +84,8 @@ TEST(EquivCheckerTest, MutatedReductionCaughtAndReplayed) {
   // cannot see (it assumes every read has a writer — the paper's
   // under-approximation); the exact frame encoding catches it.
   CheckOptions o = paramOpts(8);
-  Report r = s.equivalence("reduceStrided",
-                           s.program().kernels[1]->name, o);
+  Report r = s.run({CheckKind::Equivalence, "reduceStrided",
+                    s.program().kernels[1]->name, o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
   ASSERT_FALSE(r.counterexamples.empty());
   EXPECT_TRUE(r.counterexamples[0].replayConfirmed) << r.str();
@@ -98,9 +103,23 @@ TEST(EquivCheckerTest, NonParamBitonicSelfEquivalence) {
   o.method = Method::Auto;
   o.width = 12;
   o.grid = encode::GridConfig{1, 1, 4, 1, 1};
-  Report r = s.equivalence("bitonicSort", "bitonicSortB", o);
+  Report r = s.run({CheckKind::Equivalence, "bitonicSort", "bitonicSortB", o,
+                    {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
   EXPECT_EQ(r.method, "non-parameterized");
+
+  // At 5 threads the solver finds a witness against this self-equivalence
+  // that the VM refutes. A refuted witness is no bug: the check ends open
+  // and keeps the witness with its replay verdict.
+  o.method = Method::NonParameterized;
+  o.backend = smt::Backend::Z3;
+  o.grid = encode::GridConfig{1, 1, 5, 1, 1};
+  Report five = s.run({CheckKind::Equivalence, "bitonicSort", "bitonicSortB",
+                       o, {}, 0}).report;
+  EXPECT_EQ(five.outcome, Outcome::Unknown) << five.str();
+  ASSERT_EQ(five.counterexamples.size(), 1u) << five.str();
+  EXPECT_TRUE(five.counterexamples[0].replayed) << five.str();
+  EXPECT_FALSE(five.counterexamples[0].replayConfirmed) << five.str();
 }
 
 
@@ -109,23 +128,27 @@ TEST(EquivCheckerTest, ReverseFullySymbolicEquivalence) {
   // with NOTHING concretized — thread count, block size, sizes and inputs
   // all symbolic (the case the transpose needs "+C" for).
   VerificationSession s(combinedSource({"reverseNaive", "reverseOpt"}, 8));
-  Report r = s.equivalence("reverseNaive", "reverseOpt", paramOpts(8));
+  Report r = s.run({CheckKind::Equivalence, "reverseNaive", "reverseOpt",
+                    paramOpts(8), {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
 TEST(PerfCheckerTest, ReversePairCoalescingContrast) {
   CheckOptions o = paramOpts(8);
   VerificationSession naive(combinedSource({"reverseNaive"}, 8));
-  Report rn = naive.performance("reverseNaive", o);
+  Report rn = naive.run({CheckKind::Performance, "reverseNaive", "", o, {}, 0})
+                  .report;
   EXPECT_EQ(rn.outcome, Outcome::BugFound) << rn.str();
   VerificationSession opt(combinedSource({"reverseOpt"}, 8));
-  Report ro = opt.performance("reverseOpt", o);
+  Report ro = opt.run({CheckKind::Performance, "reverseOpt", "", o, {}, 0})
+                  .report;
   EXPECT_EQ(ro.outcome, Outcome::Verified) << ro.str();
 }
 
 TEST(PostcondCheckerTest, VecAddVerifiedParametrically) {
   VerificationSession s(combinedSource({"vecAdd"}, 8));
-  Report r = s.postconditions("vecAdd", paramOpts(8));
+  Report r = s.run({CheckKind::Postconditions, "vecAdd", "", paramOpts(8),
+                    {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
@@ -137,7 +160,8 @@ TEST(PostcondCheckerTest, SaxpyMutantCaughtWithReplay) {
   prog->kernels.push_back(std::move(mutant.kernel));
   VerificationSession s(std::move(prog));
   CheckOptions o = paramOpts(8);
-  Report r = s.postconditions(s.program().kernels[0]->name, o);
+  Report r = s.run({CheckKind::Postconditions, s.program().kernels[0]->name, "",
+                    o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
   ASSERT_FALSE(r.counterexamples.empty());
   EXPECT_TRUE(r.counterexamples[0].replayConfirmed) << r.str();
@@ -170,21 +194,23 @@ TEST(PostcondCheckerTest, NonParamTransposePostcond) {
   o.method = Method::NonParameterized;
   o.width = 16;
   o.grid = encode::GridConfig{2, 2, 2, 2, 1};
-  Report r = s.postconditions("transposeNaive", o);
+  Report r = s.run({CheckKind::Postconditions, "transposeNaive", "", o, {}, 0})
+                 .report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
 TEST(RaceCheckerTest, CorpusKernelsAreRaceFree) {
   for (const char* name : {"transposeOpt", "reduceMod", "reduceStrided"}) {
     VerificationSession s(combinedSource({name}, 8));
-    Report r = s.races(name, paramOpts(8));
+    Report r = s.run({CheckKind::Races, name, "", paramOpts(8), {}, 0}).report;
     EXPECT_EQ(r.outcome, Outcome::Verified) << name << ": " << r.str();
   }
 }
 
 TEST(RaceCheckerTest, RacyHistogramFlagged) {
   VerificationSession s(combinedSource({"racyHistogram"}, 8));
-  Report r = s.races("racyHistogram", paramOpts(8));
+  Report r = s.run({CheckKind::Races, "racyHistogram", "", paramOpts(8), {}, 0})
+                 .report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
   EXPECT_NE(r.detail.find("race"), std::string::npos);
 }
@@ -200,7 +226,8 @@ void shiftNoBarrier(int *out, int *in) {
 }
 )";
   VerificationSession s(racy);
-  Report r = s.races("shiftNoBarrier", paramOpts(8));
+  Report r = s.run({CheckKind::Races, "shiftNoBarrier", "", paramOpts(8),
+                    {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
 
   // With the barrier restored the same kernel is race-free.
@@ -213,13 +240,15 @@ void shiftWithBarrier(int *out, int *in) {
 }
 )";
   VerificationSession s2(fixed);
-  Report r2 = s2.races("shiftWithBarrier", paramOpts(8));
+  Report r2 = s2.run({CheckKind::Races, "shiftWithBarrier", "", paramOpts(8),
+                      {}, 0}).report;
   EXPECT_EQ(r2.outcome, Outcome::Verified) << r2.str();
 }
 
 TEST(PerfCheckerTest, NaiveTransposeIsUncoalesced) {
   VerificationSession s(combinedSource({"transposeNaive"}, 8));
-  Report r = s.performance("transposeNaive", paramOpts(8));
+  Report r = s.run({CheckKind::Performance, "transposeNaive", "", paramOpts(8),
+                    {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
   EXPECT_NE(r.detail.find("non-coalesced"), std::string::npos) << r.str();
 }
@@ -230,7 +259,8 @@ TEST(PerfCheckerTest, PaddedTransposeCleanAt16x16) {
   VerificationSession s(combinedSource({"transposeOpt"}, 16));
   CheckOptions o = paramOpts(16);
   o.concretize = {{"bdim.x", 16}, {"bdim.y", 16}, {"bdim.z", 1}};
-  Report r = s.performance("transposeOpt", o);
+  Report r = s.run({CheckKind::Performance, "transposeOpt", "", o, {}, 0})
+                 .report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
@@ -239,7 +269,8 @@ TEST(PerfCheckerTest, StridedReductionHasBankConflicts) {
   VerificationSession s(combinedSource({"reduceStrided"}, 16));
   CheckOptions o = paramOpts(16);
   o.concretize = {{"bdim.x", 64}, {"bdim.y", 1}, {"bdim.z", 1}};
-  Report r = s.performance("reduceStrided", o);
+  Report r = s.run({CheckKind::Performance, "reduceStrided", "", o, {}, 0})
+                 .report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
   EXPECT_NE(r.detail.find("bank conflict"), std::string::npos) << r.str();
 }
@@ -248,7 +279,8 @@ TEST(PerfCheckerTest, SequentialReductionConflictFree) {
   VerificationSession s(combinedSource({"reduceSequential"}, 16));
   CheckOptions o = paramOpts(16);
   o.concretize = {{"bdim.x", 64}, {"bdim.y", 1}, {"bdim.z", 1}};
-  Report r = s.performance("reduceSequential", o);
+  Report r = s.run({CheckKind::Performance, "reduceSequential", "", o, {}, 0})
+                 .report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 

@@ -374,17 +374,20 @@ TEST(EngineTest, CancelAllStopsInFlightSolve) {
   }
 }
 
-TEST(EngineTest, SessionRunMatchesDeprecatedWrappers) {
+TEST(EngineTest, SessionRunEchoesTheRequest) {
   VerificationSession s(combinedSource({"racyHistogram"}, 8));
   CheckRequest r;
   r.kind = CheckKind::Races;
   r.kernel = "racyHistogram";
   r.options = fastOpts();
-  const CheckResult viaRun = s.run(r);
-  const check::Report viaWrapper = s.races("racyHistogram", fastOpts());
-  EXPECT_EQ(viaRun.report.outcome, viaWrapper.outcome);
-  EXPECT_EQ(viaRun.report.detail, viaWrapper.detail);
-  EXPECT_EQ(viaRun.label(), "races(racyHistogram)");
+  const CheckResult result = s.run(r);
+  EXPECT_EQ(result.kind, CheckKind::Races);
+  EXPECT_EQ(result.kernel, "racyHistogram");
+  EXPECT_EQ(result.report.outcome, Outcome::BugFound) << result.report.str();
+  EXPECT_EQ(result.report.method, "parameterized-race");
+  EXPECT_GT(result.report.totalSeconds, 0.0);
+  EXPECT_EQ(result.label(), "races(racyHistogram)");
+  EXPECT_EQ(r.label(), result.label());
 }
 
 TEST(EngineTest, ResultJsonIsWellFormed) {
@@ -517,6 +520,27 @@ TEST(EngineTest, ExhaustedLadderDegradesWithStructuredFailureInfo) {
   EXPECT_EQ(res.report.failure.retries, 0u);
   EXPECT_FALSE(res.report.failure.failedOver);
   EXPECT_FALSE(res.report.failure.detail.empty());
+}
+
+TEST(EngineTest, PerfUndecidedQueriesAreNeverVerified) {
+  // Every Z3 query times out, and no rung of the ladder may answer in its
+  // place: the bank conflict transposeOpt has at 8 bits stays undecided,
+  // which must not read as "no conflict".
+  FaultGuard guard("solver.check.z3=always@timeout");
+  VerificationSession s(combinedSource({"transposeOpt"}, 8));
+  CheckRequest r;
+  r.kind = CheckKind::Performance;
+  r.kernel = "transposeOpt";
+  r.options = fastOpts();
+  r.options.backend = smt::Backend::Z3;
+  EngineOptions eo;
+  eo.maxRetries = 0;
+  eo.failover = false;
+  VerificationEngine eng(eo);
+  const CheckResult res = eng.run(s, r);
+  EXPECT_EQ(res.report.outcome, Outcome::Unknown) << res.report.str();
+  EXPECT_NE(res.report.detail.find("undecided"), std::string::npos)
+      << res.report.str();
 }
 
 TEST(EngineTest, InjectedCrashWithoutLadderYieldsBackendCrashFailure) {

@@ -19,6 +19,7 @@
 namespace pugpara {
 namespace {
 
+using check::CheckKind;
 using check::CheckOptions;
 using check::Method;
 using check::Outcome;
@@ -76,7 +77,7 @@ TEST(SoundnessTest, VerifiedPairsAgreeConcretely) {
     o.method = Method::NonParameterized;
     o.width = 16;
     o.grid = c.grid;
-    Report r = s.equivalence(c.a, c.b, o);
+    Report r = s.run({CheckKind::Equivalence, c.a, c.b, o, {}, 0}).report;
     ASSERT_EQ(r.outcome, Outcome::Verified) << c.a << " vs " << c.b << ": "
                                             << r.str();
     for (uint64_t seed = 1; seed <= 8; ++seed)
@@ -115,7 +116,8 @@ TEST_P(MutantSweep, SymbolicVerdictNeverContradictsConcreteRuns) {
     o.grid = grid;
     o.solverTimeoutMs = 15000;  // hard mutants may time out; Unknown is fine
     o.replayCounterexamples = false;  // this test runs its own differential
-    Report r = s.equivalence("reduceStrided", name, o);
+    Report r = s.run({CheckKind::Equivalence, "reduceStrided", name, o, {}, 0})
+                   .report;
 
     // Concrete differential over several random inputs.
     bool anyDiff = false;
@@ -165,7 +167,7 @@ TEST_P(PostcondGrid, SpecifiedCorpusKernelsHoldOnEveryGrid) {
     o.width = kw.width;
     o.grid = encode::GridConfig{n / 4, 1, 4, 1, 1};
     o.solverTimeoutMs = 60000;
-    Report r = s.postconditions(kw.name, o);
+    Report r = s.run({CheckKind::Postconditions, kw.name, "", o, {}, 0}).report;
     EXPECT_EQ(r.outcome, Outcome::Verified) << kw.name << " n=" << n << ": "
                                             << r.str();
   }
@@ -183,7 +185,8 @@ TEST(PostcondTest, TransposePostcondAcrossGrids) {
     o.method = Method::NonParameterized;
     o.width = 16;
     o.grid = grid;
-    Report r = s.postconditions("transposeNaive", o);
+    Report r = s.run({CheckKind::Postconditions, "transposeNaive", "", o,
+                      {}, 0}).report;
     EXPECT_EQ(r.outcome, Outcome::Verified) << grid.str() << ": " << r.str();
   }
 }
@@ -203,7 +206,8 @@ TEST(SelfEquivalenceTest, ScanAndBitonicAgainstThemselves) {
     o.method = Method::NonParameterized;
     o.width = 12;
     o.grid = encode::GridConfig{1, 1, 8, 1, 1};
-    Report r = s.equivalence(name, std::string(name) + "B", o);
+    Report r = s.run({CheckKind::Equivalence, name, std::string(name) + "B", o,
+                      {}, 0}).report;
     EXPECT_EQ(r.outcome, Outcome::Verified) << name << ": " << r.str();
   }
 }
@@ -226,7 +230,7 @@ TEST(FailureModeTest, NonParamWithoutGridIsUnsupported) {
   VerificationSession s(kernels::combinedSource({"vecAdd"}, 8));
   CheckOptions o;
   o.method = Method::NonParameterized;  // no grid provided
-  Report r = s.postconditions("vecAdd", o);
+  Report r = s.run({CheckKind::Postconditions, "vecAdd", "", o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Unsupported);
 }
 
@@ -237,7 +241,7 @@ void b(int *x, int *y) { x[0] = 1; y[0] = 1; }
 )");
   CheckOptions o;
   o.width = 8;
-  Report r = s.equivalence("a", "b", o);
+  Report r = s.run({CheckKind::Equivalence, "a", "b", o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Unsupported);
 }
 
@@ -248,7 +252,7 @@ TEST(FailureModeTest, ParamUnsupportedShapesReportCleanly) {
   CheckOptions o;
   o.method = Method::Parameterized;
   o.width = 12;
-  Report r = s.races("bitonicSort", o);
+  Report r = s.run({CheckKind::Races, "bitonicSort", "", o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Unsupported);
   EXPECT_NE(r.detail.find("nested"), std::string::npos) << r.detail;
 }
@@ -270,7 +274,7 @@ void guarded(int *a, int n) {
   CheckOptions o;
   o.method = Method::Parameterized;
   o.width = 8;
-  Report r = s.asserts("guarded", o);
+  Report r = s.run({CheckKind::Asserts, "guarded", "", o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::Verified) << r.str();
 }
 
@@ -289,8 +293,32 @@ void guarded(int *a, int n) {
   CheckOptions o;
   o.method = Method::Parameterized;
   o.width = 8;
-  Report r = s.asserts("guarded", o);
+  Report r = s.run({CheckKind::Asserts, "guarded", "", o, {}, 0}).report;
   EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
+}
+
+TEST(AssertIntegrationTest, NonParamViolationCarriesWitness) {
+  // The fourth thread of the grid breaks the assert; the concrete-grid
+  // check must report it with the launch that does.
+  const char* src = R"(
+void guarded(int *a) {
+  int i = bid.x * bdim.x + tid.x;
+  assert(i < 3);
+  a[i] = i;
+}
+)";
+  VerificationSession s(src);
+  CheckOptions o;
+  o.method = Method::NonParameterized;
+  o.width = 8;
+  o.grid = encode::GridConfig{1, 1, 4, 1, 1};
+  Report r = s.run({CheckKind::Asserts, "guarded", "", o, {}, 0}).report;
+  EXPECT_EQ(r.outcome, Outcome::BugFound) << r.str();
+  ASSERT_EQ(r.counterexamples.size(), 1u) << r.str();
+  const check::Counterexample& cex = r.counterexamples[0];
+  EXPECT_EQ(cex.bdimX, 4u) << r.str();
+  EXPECT_EQ(cex.bdimY, 1u) << r.str();
+  EXPECT_EQ(cex.bdimZ, 1u) << r.str();
 }
 
 }  // namespace

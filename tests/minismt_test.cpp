@@ -360,7 +360,8 @@ void fill(int *a) {
   o.width = 8;
   o.backend = Backend::Mini;
   o.solverTimeoutMs = 120000;
-  check::Report r = s.postconditions("fill", o);
+  check::Report r = s.run({check::CheckKind::Postconditions, "fill", "", o,
+                           {}, 0}).report;
   EXPECT_EQ(r.outcome, check::Outcome::Verified) << r.str();
   EXPECT_GT(r.stats.qeCerts, 0u);
 }
@@ -374,7 +375,8 @@ TEST(MiniEndToEndTest, QuantifiedFramesAreRejectedByMini) {
   o.method = check::Method::Parameterized;
   o.width = 8;
   o.backend = Backend::Mini;
-  check::Report r = s.postconditions("vecAdd", o);
+  check::Report r = s.run({check::CheckKind::Postconditions, "vecAdd", "", o,
+                           {}, 0}).report;
   EXPECT_EQ(r.outcome, check::Outcome::Unknown) << r.str();
   // The Unknown says why: the undecided VCs are outside Mini's fragment.
   EXPECT_NE(r.detail.find("unsupported"), std::string::npos) << r.str();
@@ -395,7 +397,8 @@ void k(int *a) {
   o.width = 8;
   o.backend = Backend::Mini;
   o.solverTimeoutMs = 120000;
-  check::Report r = s.postconditions("k", o);
+  check::Report r = s.run({check::CheckKind::Postconditions, "k", "", o, {}, 0})
+                        .report;
   EXPECT_EQ(r.outcome, check::Outcome::BugFound) << r.str();
   ASSERT_FALSE(r.counterexamples.empty());
   EXPECT_TRUE(r.counterexamples[0].replayConfirmed) << r.str();
